@@ -66,7 +66,6 @@ from .graphs import (
 from .oscillator import (
     HALF_PI,
     TWO_PI,
-    JacobiConvergenceError,
     OscillatorSystem,
     SpectrumReport,
     circular_distance,

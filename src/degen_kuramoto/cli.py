@@ -58,41 +58,39 @@ def _load_document(path: str) -> GraphDocument:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _doc_phases(args, doc: GraphDocument) -> np.ndarray:
-    """Phases from --phases, --labels, or the document, in that order."""
-    if getattr(args, "phases", None):
-        return np.array(_float_list(args.phases))
-    if getattr(args, "labels", None):
-        labels = [int(t) for t in args.labels.split(",")]
-        return QuarterLabeling(tuple(labels), getattr(args, "base", 0.0) or 0.0).phases()
-    if doc.labels is not None:
-        return QuarterLabeling(doc.labels, doc.base or 0.0).phases()
-    if doc.phases is not None:
-        return np.array(doc.phases)
-    raise ValueError("no phases given (use --phases/--labels or put them in the document)")
-
-
 def _doc_labeling(args, doc: GraphDocument) -> QuarterLabeling | None:
-    if getattr(args, "labels", None):
-        labels = tuple(int(t) for t in args.labels.split(","))
-        return QuarterLabeling(labels, getattr(args, "base", 0.0) or 0.0)
+    """Quarter labeling from --labels, or the document, in that order."""
+    if args.labels:
+        return QuarterLabeling(tuple(int(t) for t in args.labels.split(",")), args.base)
     if doc.labels is not None:
         return QuarterLabeling(doc.labels, doc.base or 0.0)
     return None
 
 
+def _doc_phases(args, doc: GraphDocument) -> np.ndarray:
+    """Phases from --phases, --labels, or the document, in that order."""
+    if args.phases:
+        return np.array(_float_list(args.phases))
+    labeling = _doc_labeling(args, doc)
+    if labeling is not None:
+        return labeling.phases()
+    if doc.phases is not None:
+        return np.array(doc.phases)
+    raise ValueError("no phases given (use --phases/--labels or put them in the document)")
+
+
 def _doc_system(args, doc: GraphDocument) -> OscillatorSystem:
-    coupling = getattr(args, "coupling", None)
+    coupling = args.coupling
     if coupling is None:
         coupling = doc.coupling if doc.coupling is not None else 1.0
     freqs = None
-    if getattr(args, "frequencies", None):
+    if args.frequencies:
         freqs = _float_list(args.frequencies)
     elif doc.frequencies is not None:
         freqs = doc.frequencies
@@ -146,7 +144,7 @@ def cmd_circuit(args) -> int:
     doc = _load_document(args.input)
     if args.circuit:
         circuit = EulerCircuit(tuple(int(t) for t in args.circuit.split(",")))
-        labeling = circuit_to_phases(doc.graph, circuit, args.base or 0.0)
+        labeling = circuit_to_phases(doc.graph, circuit, args.base)
         out = {
             "labels": list(labeling.labels),
             "base": labeling.base,
@@ -272,7 +270,7 @@ def cmd_render(args) -> int:
     labeling = _doc_labeling(args, doc)
     if labeling is not None:
         theta = labeling
-    elif getattr(args, "phases", None) or doc.phases is not None:
+    elif args.phases or doc.phases is not None:
         theta = _doc_phases(args, doc)
     else:
         raise ValueError("render needs phases or labels")
@@ -280,69 +278,64 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_input=True) -> None:
-    if with_input:
-        p.add_argument("--input", required=True, help="edge-list or JSON graph file")
-    p.add_argument("--output", help="write result to this file instead of stdout")
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag group that subcommand parsers share through ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    output = _parent()
+    output.add_argument("--output", help="write result to this file instead of stdout")
+    io = _parent(output)
+    io.add_argument("--input", required=True, help="edge-list or JSON graph file")
+    labels = _parent()
+    labels.add_argument("--labels", help="comma-separated quarter labels 0..3")
+    labels.add_argument("--base", type=float, default=0.0, help="phase offset of label 0")
+    state = _parent(labels)
+    state.add_argument("--phases", help="comma-separated phases in radians")
+    system = _parent()
+    system.add_argument("--coupling", type=float, default=None)
+    system.add_argument("--frequencies", help="comma-separated intrinsic frequencies")
+    budget = _parent()
+    budget.add_argument("--budget", type=int, default=1_000_000)
+
     parser = argparse.ArgumentParser(
         prog="degen-kuramoto",
         description="Completely degenerate equilibria of sine-coupled oscillators on graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="check phases for complete degeneracy")
-    _add_common(p)
-    p.add_argument("--phases", help="comma-separated phases in radians")
-    p.add_argument("--labels", help="comma-separated quarter labels 0..3")
-    p.add_argument("--base", type=float, default=0.0)
-    p.add_argument("--coupling", type=float, default=None)
-    p.add_argument("--frequencies", help="comma-separated intrinsic frequencies")
+    p = sub.add_parser("detect", parents=[io, state, system],
+                       help="check phases for complete degeneracy")
     p.add_argument("--tol", type=float, default=1.0e-9)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("enumerate", help="list all CDE quarter labelings")
-    _add_common(p)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p = sub.add_parser("enumerate", parents=[io, budget], help="list all CDE quarter labelings")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("circuit", help="labeling -> Euler circuit, or circuit -> labeling")
-    _add_common(p)
-    p.add_argument("--labels", help="comma-separated quarter labels 0..3")
-    p.add_argument("--base", type=float, default=0.0)
+    p = sub.add_parser("circuit", parents=[io, labels],
+                       help="labeling -> Euler circuit, or circuit -> labeling")
     p.add_argument("--circuit", help="comma-separated closed vertex sequence")
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser(
         "construct-nonidentical",
+        parents=[io],
         help="bipartite phases and frequencies, or the odd-cycle witness",
     )
-    _add_common(p)
     p.add_argument("--coupling", type=float, default=1.0)
     p.set_defaults(func=cmd_construct_nonidentical)
 
-    p = sub.add_parser("simulate", help="RK4 trace as CSV (t, theta_0.., E)")
-    _add_common(p)
-    p.add_argument("--phases", help="initial phases, comma-separated radians")
-    p.add_argument("--labels", help="initial quarter labels 0..3")
-    p.add_argument("--base", type=float, default=0.0)
+    p = sub.add_parser("simulate", parents=[io, state, system],
+                       help="RK4 trace as CSV (t, theta_0.., E)")
     p.add_argument("--seed", type=int, default=None,
                    help="random uniform initial phases when none are given")
-    p.add_argument("--coupling", type=float, default=None)
-    p.add_argument("--frequencies", help="comma-separated intrinsic frequencies")
     p.add_argument("--dt", type=float, default=1.0e-3)
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("probe", help="escape probe from an equilibrium")
-    _add_common(p)
-    p.add_argument("--phases")
-    p.add_argument("--labels")
-    p.add_argument("--base", type=float, default=0.0)
-    p.add_argument("--coupling", type=float, default=None)
-    p.add_argument("--frequencies")
+    p = sub.add_parser("probe", parents=[io, state, system],
+                       help="escape probe from an equilibrium")
     p.add_argument("--direction", help="perturbation direction, comma-separated")
     p.add_argument("--x0", type=float, default=1.0e-3)
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -350,28 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("rarity", help="Monte Carlo admit-rate over G(n, p)")
-    _add_common(p, with_input=False)
+    p = sub.add_parser("rarity", parents=[output, budget],
+                       help="Monte Carlo admit-rate over G(n, p)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1_000_000)
     p.set_defaults(func=cmd_rarity)
 
-    p = sub.add_parser("sweep", help="degeneracy table over a graph family")
-    _add_common(p, with_input=False)
+    p = sub.add_parser("sweep", parents=[output, budget],
+                       help="degeneracy table over a graph family")
     p.add_argument("--family", required=True, choices=("cycle", "hypercube", "glue-chain"))
     p.add_argument("--params", required=True, help="comma list or start:stop[:step]")
     p.add_argument("--glue-seed", default="c4", choices=("c4", "c8", "k24"))
-    p.add_argument("--budget", type=int, default=1_000_000)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("render", help="SVG of the phase-colored graph")
-    _add_common(p)
-    p.add_argument("--phases")
-    p.add_argument("--labels")
-    p.add_argument("--base", type=float, default=0.0)
+    p = sub.add_parser("render", parents=[io, state], help="SVG of the phase-colored graph")
     p.add_argument("--layout", default="circular", choices=("circular", "hypercube"))
     p.add_argument("--tol", type=float, default=1.0e-9)
     p.set_defaults(func=cmd_render)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -178,6 +179,24 @@ def emit_json(
     return canonical_json(doc)
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; integral floats pass, bools, null and strings do not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number; bools, null, strings, NaN and overflow are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_json(text: str) -> GraphDocument:
     """Parse and validate a "degen-kuramoto/1" document."""
     try:
@@ -195,11 +214,13 @@ def parse_json(text: str) -> GraphDocument:
     if len(set(names)) != n:
         raise ValueError("vertex names must be distinct")
     edges_raw = doc.get("edges", [])
+    if not isinstance(edges_raw, list):
+        raise ValueError("edges must be a list of vertex-index pairs")
     edges = []
     for e in edges_raw:
         if not (isinstance(e, list) and len(e) == 2):
             raise ValueError(f"bad edge entry {e!r}")
-        u, v = int(e[0]), int(e[1])
+        u, v = (_integer(x, "edge vertex index") for x in e)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {e!r} references an undeclared vertex")
         edges.append((u, v))
@@ -211,7 +232,7 @@ def parse_json(text: str) -> GraphDocument:
         values = doc[key]
         if not isinstance(values, list) or len(values) != n:
             raise ValueError(f"{key} must list one value per vertex")
-        return tuple(float(x) for x in values)
+        return tuple(_number(x, key) for x in values)
 
     phases = float_tuple("phases")
     frequencies = float_tuple("frequencies")
@@ -221,13 +242,13 @@ def parse_json(text: str) -> GraphDocument:
         raw = doc["labels"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ValueError("labels must list one value per vertex")
-        labels = tuple(int(l) for l in raw)
+        labels = tuple(_integer(l, "label") for l in raw)
         if any(not 0 <= l <= 3 for l in labels):
             raise ValueError("labels must lie in 0..3")
-        base = float(doc.get("base", 0.0))
+        base = _number(doc.get("base", 0.0), "base")
     coupling = None
     if "coupling" in doc:
-        coupling = float(doc["coupling"])
+        coupling = _number(doc["coupling"], "coupling")
         if not coupling > 0:
             raise ValueError("coupling must be positive")
     report = doc.get("report")

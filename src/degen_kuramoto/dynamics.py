@@ -153,10 +153,10 @@ def instability_probe(
     """Integrate from theta + x0 * direction and watch for escape.
 
     Reports whether the max-over-vertices circular distance from theta ever
-    exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10) and
-    |x0| < epsilon / 4. Stops early, as not escaped, if the trajectory
-    parks at an equilibrium (max |F| < 1e-13): residual drift over the
-    remaining budget is then far below epsilon.
+    exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10),
+    |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
+    escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13):
+    residual drift over the remaining budget is then far below epsilon.
     """
     theta = phase_vector(theta, sys.graph.vertex_count)
     direction = np.asarray(direction, dtype=float)
@@ -167,6 +167,10 @@ def instability_probe(
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")
     if not abs(x0) < epsilon / 4.0:
         raise ValueError("|x0| must be smaller than epsilon / 4")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     y = theta + x0 * direction
     max_distance = 0.0
     for step in range(1, max_steps + 1):

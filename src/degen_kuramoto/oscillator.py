@@ -37,7 +37,6 @@ __all__ = [
     "energy",
     "gradient_consistency",
     "SpectrumReport",
-    "JacobiConvergenceError",
     "symmetric_eigenvalues",
     "classify_edges",
 ]
@@ -196,75 +195,28 @@ def gradient_consistency(sys: OscillatorSystem, theta, h: float = 1.0e-5) -> flo
 
 @dataclass(eq=False)
 class SpectrumReport:
-    """Ascending eigenvalues plus the final off-diagonal residual."""
+    """Ascending eigenvalues plus the eigenpair residual max |A V - V Lambda|."""
 
     eigenvalues: np.ndarray
     max_offdiag_residual: float
 
 
-class JacobiConvergenceError(RuntimeError):
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"Jacobi sweep budget exhausted after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
+def symmetric_eigenvalues(matrix) -> SpectrumReport:
+    """All eigenvalues of a symmetric matrix by LAPACK's symmetric solver.
 
-
-def symmetric_eigenvalues(matrix, max_sweeps: int = 60) -> SpectrumReport:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * (input Frobenius norm + 1). Input must be symmetric to 1e-9.
+    Input must be symmetric to 1e-9; it is symmetrized before the solve.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return SpectrumReport(np.empty(0), 0.0)
     if np.max(np.abs(a - a.T)) > 1e-9:
         raise ValueError("matrix is not symmetric (tolerance 1e-9)")
     a = 0.5 * (a + a.T)
-    target = 1e-12 * (math.sqrt(float(np.sum(a * a))) + 1.0)
-
-    def offdiag_norm():
-        off = a - np.diag(np.diag(a))
-        return math.sqrt(float(np.sum(off * off)))
-
-    for sweep in range(max_sweeps):
-        if offdiag_norm() <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        residual = offdiag_norm()
-        if residual > target:
-            raise JacobiConvergenceError(residual, max_sweeps)
-    off = a - np.diag(np.diag(a))
-    residual = float(np.max(np.abs(off))) if n > 1 else 0.0
-    return SpectrumReport(np.sort(np.diag(a)), residual)
+    values, vectors = np.linalg.eigh(a)
+    residual = float(np.max(np.abs(a @ vectors - vectors * values)))
+    return SpectrumReport(values, residual)
 
 
 def classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:

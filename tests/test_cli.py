@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from degen_kuramoto import cli_dispatch
+from degen_kuramoto.cli import build_parser
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0\n"
 K3_EDGES = "0 1\n1 2\n2 0\n"
@@ -189,3 +191,140 @@ def test_json_document_inputs_work(capsys, tmp_path):
     path.write_text(emit_json(cycle_graph(4), labels=[0, 1, 2, 3]))
     code, out, _ = run(capsys, "detect", "--input", str(path))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+# Every subcommand's flags as (default, required, type, choices); shared
+# parent parsers must reproduce this surface exactly.
+CLI_SURFACE = {
+    "detect": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--phases": (None, False, None, None),
+        "--labels": (None, False, None, None),
+        "--base": (0.0, False, float, None),
+        "--coupling": (None, False, float, None),
+        "--frequencies": (None, False, None, None),
+        "--tol": (1e-09, False, float, None),
+    },
+    "enumerate": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--budget": (1000000, False, int, None),
+    },
+    "circuit": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--labels": (None, False, None, None),
+        "--base": (0.0, False, float, None),
+        "--circuit": (None, False, None, None),
+    },
+    "construct-nonidentical": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--coupling": (1.0, False, float, None),
+    },
+    "simulate": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--phases": (None, False, None, None),
+        "--labels": (None, False, None, None),
+        "--base": (0.0, False, float, None),
+        "--seed": (None, False, int, None),
+        "--coupling": (None, False, float, None),
+        "--frequencies": (None, False, None, None),
+        "--dt": (0.001, False, float, None),
+        "--steps": (1000, False, int, None),
+    },
+    "probe": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--phases": (None, False, None, None),
+        "--labels": (None, False, None, None),
+        "--base": (0.0, False, float, None),
+        "--coupling": (None, False, float, None),
+        "--frequencies": (None, False, None, None),
+        "--direction": (None, False, None, None),
+        "--x0": (0.001, False, float, None),
+        "--epsilon": (0.5, False, float, None),
+        "--dt": (0.001, False, float, None),
+        "--max-steps": (1000000, False, int, None),
+    },
+    "rarity": {
+        "--output": (None, False, None, None),
+        "--n": (None, True, int, None),
+        "--p": (None, True, float, None),
+        "--samples": (None, True, int, None),
+        "--seed": (0, False, int, None),
+        "--budget": (1000000, False, int, None),
+    },
+    "sweep": {
+        "--output": (None, False, None, None),
+        "--family": (None, True, None, ("cycle", "hypercube", "glue-chain")),
+        "--params": (None, True, None, None),
+        "--glue-seed": ("c4", False, None, ("c4", "c8", "k24")),
+        "--budget": (1000000, False, int, None),
+    },
+    "render": {
+        "--input": (None, True, None, None),
+        "--output": (None, False, None, None),
+        "--phases": (None, False, None, None),
+        "--labels": (None, False, None, None),
+        "--base": (0.0, False, float, None),
+        "--layout": ("circular", False, None, ("circular", "hypercube")),
+        "--tol": (1e-09, False, float, None),
+    },
+}
+
+
+def test_cli_surface_matches_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_SURFACE)
+    for name, subparser in sub.choices.items():
+        surface = {}
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert len(action.option_strings) == 1, (name, action.option_strings)
+            surface[action.option_strings[0]] = (
+                action.default, action.required, action.type, action.choices)
+        assert surface == CLI_SURFACE[name], name
+
+
+@pytest.mark.parametrize("flag", ["--dt=0", "--dt=-1e-3", "--max-steps=0"])
+def test_probe_rejects_nonpositive_dt_and_step_budget(capsys, c4_file, flag):
+    code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",
+                         "--x0", "0.05", flag)
+    assert code == 1 and out == "" and "error:" in err
+
+
+MALFORMED_DOCUMENTS = {
+    "edges not a list": '"edges": 5',
+    "edges null": '"edges": null',
+    "edge index null": '"edges": [[0, null]], "labels": [0, 1, 2, 3]',
+    "edge index fractional": '"edges": [[0, 1.7]], "labels": [0, 1, 2, 3]',
+    "edge index string": '"edges": [[0, "1"]], "labels": [0, 1, 2, 3]',
+    "edge index bool": '"edges": [[true, 2]], "labels": [0, 1, 2, 3]',
+    "label fractional": '"edges": [[0, 1]], "labels": [0, 1.9, 2, 3]',
+    "label null": '"edges": [[0, 1]], "labels": [0, null, 2, 3]',
+    "base null": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "base": null',
+    "base string": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "base": "x"',
+    "phase null": '"edges": [[0, 1]], "phases": [0, null, 0, 0]',
+    "phase list": '"edges": [[0, 1]], "phases": [0, [1], 0, 0]',
+    "phase NaN": '"edges": [[0, 1]], "phases": [0, NaN, 0, 0]',
+    "frequency null": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "frequencies": [0, null, 0, 0]',
+    "coupling null": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "coupling": null',
+    "coupling string": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "coupling": "2"',
+    "coupling infinite": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "coupling": Infinity',
+    "coupling overflows": '"edges": [[0, 1]], "labels": [0, 1, 2, 3], "coupling": 1' + "0" * 400,
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS.keys())
+def test_malformed_json_document_exits_one(capsys, tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "degen-kuramoto/1", "vertices": ["a", "b", "c", "d"], '
+                    + body + "}")
+    code, out, err = run(capsys, "detect", "--input", str(path))
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err

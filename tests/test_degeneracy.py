@@ -14,6 +14,7 @@ from degen_kuramoto import (
     complete_bipartite_graph,
     complete_graph,
     construct_nonidentical_cde,
+    contains_triangle,
     cycle_graph,
     enumerate_cdes,
     glue_four_cycle,
@@ -25,7 +26,7 @@ from degen_kuramoto import (
     jacobian,
     phases_to_circuit,
 )
-from helpers import all_connected_graphs, brute_force_cdes, random_connected_graph
+from helpers import all_connected_graphs, brute_force_cdes, random_connected_graph, random_graph
 
 HALF_PI = np.pi / 2
 
@@ -288,3 +289,36 @@ def test_glued_extension_stays_cde():
                 l = q.labels[k]
                 extended = QuarterLabeling(q.labels + (l + 1, l + 2, l + 3))
                 assert is_cde(glued, extended.phases(), tol=1e-12)
+
+
+def _even_triangle_free_samples(rng, count):
+    """G(n, p) samples that pass the cheap filters, so enumeration decides most."""
+    samples = []
+    while len(samples) < count:
+        g = random_graph(int(rng.integers(6, 11)), 0.35, rng)
+        even = all(g.degree(k) % 2 == 0 for k in range(g.vertex_count))
+        if g.edge_count and even and contains_triangle(g) is None:
+            samples.append(g)
+    return samples
+
+
+def test_vertex_relabeling_invariance():
+    rng = np.random.default_rng(2112)
+    glue_chain = glue_four_cycle(glue_four_cycle(glue_four_cycle(cycle_graph(4), 0), 0), 0)
+    graphs = [cycle_graph(8), hypercube_graph(4), complete_bipartite_graph(2, 4), glue_chain]
+    graphs += _even_triangle_free_samples(rng, 10)
+    assert any(admits_cde(g).admits for g in graphs[4:])
+    assert not all(admits_cde(g).admits for g in graphs[4:])
+    for g in graphs:
+        cdes = enumerate_cdes(g)
+        admits = admits_cde(g).admits
+        for _ in range(3):
+            perm = rng.permutation(g.vertex_count)
+            h = Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+            assert len(enumerate_cdes(h)) == len(cdes)
+            assert admits_cde(h).admits == admits
+            for q in cdes:
+                labels = [0] * g.vertex_count
+                for v, label in enumerate(q.labels):
+                    labels[perm[v]] = label
+                assert is_cde(h, QuarterLabeling(tuple(labels), q.base).phases())

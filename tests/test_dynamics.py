@@ -197,6 +197,13 @@ def test_instability_probe_preconditions():
         instability_probe(sys_, [0.3, 0.1, 0.0, 0.0], np.zeros(4), x0=1e-3)
     with pytest.raises(ValueError, match="x0"):
         instability_probe(sys_, np.zeros(4), np.ones(4), x0=0.2, epsilon=0.5)
+    theta = enumerate_cdes(g)[0].phases()
+    direction = np.array([1.0, -1.0, 0.0, 0.0])
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            instability_probe(sys_, theta, direction, x0=0.05, dt=dt)
+    with pytest.raises(ValueError, match="max_steps"):
+        instability_probe(sys_, theta, direction, x0=0.05, max_steps=0)
 
 
 def test_descending_sign_picks_the_energy_drop():

@@ -83,6 +83,10 @@ def test_parse_json_validates():
         parse_json('{"format": "degen-kuramoto/1", "vertices": ["a"], "edges": [[0, 1]]}')
     with pytest.raises(ValueError, match="invalid JSON"):
         parse_json("{nope")
+    # integral floats are still integers
+    doc = parse_json('{"format": "degen-kuramoto/1", "vertices": ["a", "b"], '
+                     '"edges": [[0, 1.0]], "labels": [0.0, 1]}')
+    assert doc.graph.edges == ((0, 1),) and doc.labels == (0, 1)
 
 
 def test_canonical_json_float_formatting_roundtrips():

@@ -267,13 +267,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_render(args) -> int:
     doc = _load_document(args.input)
-    labeling = _doc_labeling(args, doc)
-    if labeling is not None:
-        theta = labeling
-    elif args.phases or doc.phases is not None:
+    # _doc_phases precedence, but a labeling is drawn by label, not by phase
+    theta = None if args.phases else _doc_labeling(args, doc)
+    if theta is None:
         theta = _doc_phases(args, doc)
-    else:
-        raise ValueError("render needs phases or labels")
     _emit(args, render_svg(doc.graph, theta, layout=args.layout, tol=args.tol))
     return 0
 

@@ -7,6 +7,12 @@ base + label * pi/2 with labels in Z4, which this module manipulates
 exactly: detection, exhaustive enumeration, the two-way correspondence
 with Euler circuits whose revisit gaps are multiples of four, and the
 bipartite construction for non-identical oscillators.
+
+Enumeration uses the side split. Adjacent labels differ by +-1 mod 4, so
+label parity 2-colors each component; write label = side + 2 s with s in
+{0, 1}. A labeling is a CDE exactly when every vertex has deg/2 neighbors
+with s = 1, whatever its own s, so the two sides of a component are
+independent exact-half searches over s.
 """
 
 from __future__ import annotations
@@ -142,6 +148,8 @@ def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     Every neighbor of k must sit at theta_k +- pi/2 (within tol) and the
     two offsets must occur equally often.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     theta = phase_vector(theta, g.vertex_count)
     for k in range(g.vertex_count):
         plus = minus = 0
@@ -177,6 +185,8 @@ def is_cde_nonidentical(
     sine balance sum_j a_jk sin(theta_j - theta_k) = -omega_k / K. Also
     reports whether each ratio omega_k / K is an integer within tol.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     g = sys.graph
     theta = phase_vector(theta, g.vertex_count)
     ratios = tuple(float(w) / sys.coupling for w in sys.frequencies)
@@ -206,95 +216,36 @@ def is_cde_nonidentical(
     )
 
 
-def _component_labelings(g: Graph, comp, budget_state, limit=None):
-    """Backtrack over Z4 labels of one edge-bearing component.
+def _exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
+    """0/1 values s for one side of a component, listed in `side` order.
 
-    The smallest vertex is pinned to 0; adjacent labels must differ by
-    +-1 mod 4 and each vertex's +1 / -1 neighbor offsets may never exceed
-    half its degree. Yields {vertex: label} dicts in deterministic order.
+    Every neighbor (all on the other side) must end with exactly half its
+    degree at s = 1, so a branch is cut as soon as some neighbor has more
+    than half its degree in ones or in zeros. With `pin_first` the first
+    vertex only takes s = 0. Returns tuples aligned with `side`.
     """
-    comp = sorted(comp)
-    half = {}
-    for v in comp:
-        d = g.degree(v)
-        if d % 2:
-            return []
-        half[v] = d // 2
-
-    # BFS order gives every later vertex a labeled parent to branch from.
-    root = comp[0]
-    order = [root]
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-
-    labels = {v: -1 for v in comp}
-    plus = {v: 0 for v in comp}
-    minus = {v: 0 for v in comp}
-
-    def place(v, lab):
-        trail = []
-        for u in g.neighbors(v):
-            lu = labels[u]
-            if lu < 0:
-                continue
-            off = (lab - lu) % 4
-            if off == 1:
-                plus[u] += 1
-                minus[v] += 1
-                trail.append((plus, u))
-                trail.append((minus, v))
-                if plus[u] > half[u] or minus[v] > half[v]:
-                    unwind(trail)
-                    return None
-            elif off == 3:
-                minus[u] += 1
-                plus[v] += 1
-                trail.append((minus, u))
-                trail.append((plus, v))
-                if minus[u] > half[u] or plus[v] > half[v]:
-                    unwind(trail)
-                    return None
-            else:
-                unwind(trail)
-                return None
-        labels[v] = lab
-        return trail
-
-    def unwind(trail):
-        for counter, v in trail:
-            counter[v] -= 1
+    room = {u: [g.degree(u) // 2] * 2 for v in side for u in g.neighbors(v)}
+    chosen = []
 
     def search(i):
-        if i == len(order):
-            yield dict(labels)
+        if i == len(side):
+            yield tuple(chosen)
             return
-        v = order[i]
-        if i == 0:
-            candidates = (0,)
-        else:
-            base = labels[parent[v]]
-            candidates = tuple(sorted(((base + 1) % 4, (base + 3) % 4)))
-        for lab in candidates:
+        nbrs = g.neighbors(side[i])
+        for s in (0,) if i == 0 and pin_first else (0, 1):
             budget_state[0] += 1
             if budget_state[0] > budget_state[1]:
                 raise BudgetExceededError(budget_state[1])
-            trail = place(v, lab)
-            if trail is not None:
+            for u in nbrs:
+                room[u][s] -= 1
+            if all(room[u][s] >= 0 for u in nbrs):
+                chosen.append(s)
                 yield from search(i + 1)
-                labels[v] = -1
-                unwind(trail)
+                chosen.pop()
+            for u in nbrs:
+                room[u][s] += 1
 
-    gen = search(0)
-    if limit is None:
-        return list(gen)
-    return list(itertools.islice(gen, limit))
+    return list(itertools.islice(search(0), limit))
 
 
 def enumerate_cdes(
@@ -302,29 +253,47 @@ def enumerate_cdes(
 ) -> list[QuarterLabeling]:
     """All CDEs modulo global rotation, as quarter labelings with base 0.
 
-    The smallest vertex of each edge-bearing component is pinned to label 0
-    and component solutions combine by product; isolated vertices get
-    label 0. Raises BudgetExceededError when the backtracking search visits
-    more than `budget` nodes; an empty list means no CDE exists.
+    Each side of each component is searched on its own (see the module
+    docstring), in BFS order from the component's smallest vertex, which
+    takes label 0; the CDEs are the product of all the side solutions.
+    Isolated vertices get label 0. Raises BudgetExceededError when the
+    searches together visit more than `budget` nodes; an empty list means
+    no CDE exists.
     """
-    budget_state = [0, int(budget)]
-    per_component = []
-    for comp in connected_components(g):
-        if any(g.degree(v) for v in comp):
-            sols = _component_labelings(g, comp, budget_state, limit)
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if any(g.degree(v) % 2 for v in range(g.vertex_count)):
+        return []
+    budget_state = [0, budget]
+    side: dict[int, int] = {}
+    halves = []  # (side bit, its vertices, their s solutions)
+    for root in range(g.vertex_count):
+        if root in side or not g.degree(root):
+            continue
+        side[root] = 0
+        order = [root]
+        for v in order:  # BFS: the loop visits vertices as they are appended
+            for w in g.neighbors(v):
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    order.append(w)
+                elif side[w] == side[v]:
+                    return []
+        for bit in (0, 1):
+            verts = [v for v in order if side[v] == bit]
+            sols = _exact_half_assignments(g, verts, bit == 0, budget_state, limit)
             if not sols:
                 return []
-            per_component.append(sols)
+            halves.append((bit, verts, sols))
 
     results = []
-    combos = itertools.product(*per_component) if per_component else iter([()])
-    if limit is not None:
-        combos = itertools.islice(combos, limit)
-    for combo in combos:
+    combos = itertools.product(*(sols for _, _, sols in halves))
+    for combo in itertools.islice(combos, limit):
         labels = [0] * g.vertex_count
-        for sol in combo:
-            for v, lab in sol.items():
-                labels[v] = lab
+        for (bit, verts, _), sol in zip(halves, combo):
+            for v, s in zip(verts, sol):
+                labels[v] = bit + 2 * s
         results.append(QuarterLabeling(tuple(labels), 0.0))
     results.sort(key=lambda q: q.labels)
     return results
@@ -514,6 +483,8 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
     odd degree refutes, then a triangle, then non-bipartiteness; otherwise
     enumeration decides. Raises BudgetExceededError like enumerate_cdes.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if g.edge_count == 0:
         return AdmitsReport(True, "edgeless", edgeless=True)
     for k in range(g.vertex_count):

@@ -43,7 +43,7 @@ class GraphDocument:
     report: dict | None = None
 
 
-def _tokenize_edge_list(text: str) -> tuple[list[tuple[str, str]], tuple[str, ...]]:
+def _edge_list_document(text: str) -> GraphDocument:
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,7 +61,8 @@ def _tokenize_edge_list(text: str) -> tuple[list[tuple[str, str]], tuple[str, ..
         names = tuple(sorted(distinct, key=int))
     else:
         names = tuple(sorted(distinct))
-    return pairs, names
+    index = {name: i for i, name in enumerate(names)}
+    return GraphDocument(Graph(len(names), [(index[u], index[v]) for u, v in pairs]), names)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -70,9 +71,7 @@ def parse_edge_list(text: str) -> Graph:
     Vertex tokens are sorted (numerically when all are nonnegative
     integers, else lexicographically) and mapped to dense ids.
     """
-    pairs, names = _tokenize_edge_list(text)
-    index = {name: i for i, name in enumerate(names)}
-    return Graph(len(names), [(index[u], index[v]) for u, v in pairs])
+    return _edge_list_document(text).graph
 
 
 def _format_float(x: float) -> str:
@@ -270,7 +269,4 @@ def read_document(text: str) -> GraphDocument:
     """Sniff JSON vs edge-list input and return a document either way."""
     if text.lstrip().startswith("{"):
         return parse_json(text)
-    pairs, names = _tokenize_edge_list(text)
-    index = {name: i for i, name in enumerate(names)}
-    g = Graph(len(names), [(index[u], index[v]) for u, v in pairs])
-    return GraphDocument(graph=g, names=names)
+    return _edge_list_document(text)

@@ -184,6 +184,36 @@ def test_render_svg_output(capsys, c4_file, tmp_path):
     assert svg.startswith("<svg") and svg.count("<circle") == 4
 
 
+def test_render_phases_take_precedence_over_labels(capsys, c4_file):
+    code, phases_only, _ = run(capsys, "render", "--input", c4_file, "--phases", "0,0,0,0")
+    assert code == 0
+    code, both, _ = run(capsys, "render", "--input", c4_file, "--phases", "0,0,0,0",
+                        "--labels", "0,1,2,3")
+    assert code == 0 and both == phases_only
+
+
+@pytest.mark.parametrize("argv", [
+    ("detect", "--labels", "0,1,2,3", "--tol", "-1"),
+    ("detect", "--labels", "0,1,2,3", "--coupling", "1", "--tol", "-1"),
+    ("render", "--labels", "0,1,2,3", "--tol", "-1"),
+    ("enumerate", "--budget", "-1"),
+])
+def test_negative_tolerance_or_budget_exits_one(capsys, c4_file, argv):
+    code, out, err = run(capsys, *argv[:1], "--input", c4_file, *argv[1:])
+    assert code == 1 and out == ""
+    assert "error:" in err and "nonnegative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rarity", "--n", "6", "--p", "0.5", "--samples", "3"),
+    ("sweep", "--family", "cycle", "--params", "4"),
+])
+def test_negative_budget_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 1 and out == ""
+    assert "error: budget must be nonnegative" in err and "Traceback" not in err
+
+
 def test_json_document_inputs_work(capsys, tmp_path):
     from degen_kuramoto import cycle_graph, emit_json
 

@@ -13,6 +13,7 @@ from degen_kuramoto import (
     circuit_to_phases,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     construct_nonidentical_cde,
     contains_triangle,
     cycle_graph,
@@ -26,7 +27,13 @@ from degen_kuramoto import (
     jacobian,
     phases_to_circuit,
 )
-from helpers import all_connected_graphs, brute_force_cdes, random_connected_graph, random_graph
+from helpers import (
+    all_connected_graphs,
+    brute_force_cdes,
+    random_bipartite_graph,
+    random_connected_graph,
+    random_graph,
+)
 
 HALF_PI = np.pi / 2
 
@@ -125,6 +132,23 @@ def test_enumerate_matches_brute_force_sampled():
         assert [q.labels for q in enumerate_cdes(g)] == sorted(brute_force_cdes(g))
 
 
+def test_enumerate_matches_brute_force_admitting_bipartite():
+    # connected even-degree bipartite graphs, where most samples admit a CDE
+    rng = np.random.default_rng(23)
+    corpus = []
+    while len(corpus) < 60:
+        g = random_bipartite_graph(int(rng.integers(6, 10)), rng, p=0.7)
+        even = all(g.degree(k) % 2 == 0 for k in range(g.vertex_count))
+        if g.edge_count and even and len(connected_components(g)) == 1:
+            corpus.append(g)
+    admitting = 0
+    for g in corpus:
+        expected = sorted(brute_force_cdes(g))
+        assert [q.labels for q in enumerate_cdes(g)] == expected, f"mismatch on {g.edges}"
+        admitting += bool(expected)
+    assert admitting >= 30
+
+
 def test_enumerate_multi_component_product_and_edgeless():
     two_c4 = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
     cdes = enumerate_cdes(two_c4)
@@ -146,6 +170,36 @@ def test_enumerate_budget_is_a_distinct_error():
         enumerate_cdes(hypercube_graph(4), budget=10)
     # small budgets still finish on small graphs
     assert len(enumerate_cdes(cycle_graph(4), budget=50)) == 2
+
+
+def test_enumerate_budget_is_shared_across_searches():
+    q4 = hypercube_graph(4)
+    two_q4 = Graph(32, list(q4.edges) + [(u + 16, v + 16) for u, v in q4.edges])
+    assert len(enumerate_cdes(q4, budget=150)) == 18
+    with pytest.raises(BudgetExceededError):
+        enumerate_cdes(two_q4, budget=150)
+    assert len(enumerate_cdes(two_q4, budget=300)) == 18 * 18
+    with pytest.raises(BudgetExceededError):
+        enumerate_cdes(hypercube_graph(6), budget=1000)
+
+
+def test_negative_tolerance_and_budget_are_rejected():
+    c4 = cycle_graph(4)
+    theta = QuarterLabeling((0, 1, 2, 3)).phases()
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_cde(c4, theta, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_cde_nonidentical(OscillatorSystem.identical(c4), theta, tol=-1.0)
+    for search in (enumerate_cdes, admits_cde):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            search(c4, budget=-1)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            search(Graph(3, [(0, 1), (1, 2)]), budget=-1)  # decided before any search
+    # a zero budget stays legal: graphs without edges need no search nodes
+    assert [q.labels for q in enumerate_cdes(Graph(3), budget=0)] == [(0, 0, 0)]
+    assert admits_cde(Graph(3), budget=0).edgeless
+    with pytest.raises(BudgetExceededError):
+        enumerate_cdes(c4, budget=0)
 
 
 def test_circuit_to_phases_examples():

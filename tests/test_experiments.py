@@ -86,3 +86,10 @@ def test_family_sweep_unknown_family():
         family_sweep("petersen", [1])
     with pytest.raises(ValueError, match="glue seed"):
         family_sweep("glue-chain", [1], glue_seed="c6")
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        rarity_experiment(6, 0.5, 3, seed=0, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        family_sweep("cycle", [4], budget=-1)

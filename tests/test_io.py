@@ -167,5 +167,10 @@ def test_render_svg_explicit_layout_and_errors():
         render_svg(cycle_graph(3), [0.0, 0.0, 0.0], layout="hypercube")
 
 
+def test_render_svg_rejects_negative_tolerance():
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        render_svg(cycle_graph(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], tol=-1.0)
+
+
 def test_format_constant():
     assert FORMAT == "degen-kuramoto/1"

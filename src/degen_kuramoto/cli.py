@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,13 +58,6 @@ def _load_document(path: str) -> GraphDocument:
     return read_document(Path(path).read_text())
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _doc_labeling(args, doc: GraphDocument) -> QuarterLabeling | None:
     """Quarter labeling from --labels, or the document, in that order."""
     if args.labels:
@@ -111,7 +105,7 @@ def _verdict_dict(verdict) -> dict:
     return out
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> str:
     doc = _load_document(args.input)
     theta = _doc_phases(args, doc)
     nonidentical = (
@@ -125,22 +119,20 @@ def cmd_detect(args) -> int:
         verdict = is_cde_nonidentical(sys_, theta, tol=args.tol)
     else:
         verdict = is_cde(doc.graph, theta, tol=args.tol)
-    _emit(args, canonical_json(_verdict_dict(verdict)))
-    return 0
+    return canonical_json(_verdict_dict(verdict))
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> str:
     doc = _load_document(args.input)
     labelings = enumerate_cdes(doc.graph, budget=args.budget)
     report = {
         "cde_count": len(labelings),
         "labelings": [{"labels": list(q.labels), "base": q.base} for q in labelings],
     }
-    _emit(args, emit_json(doc.graph, names=doc.names, report=report))
-    return 0
+    return emit_json(doc.graph, names=doc.names, report=report)
 
 
-def cmd_circuit(args) -> int:
+def cmd_circuit(args) -> str:
     doc = _load_document(args.input)
     if args.circuit:
         circuit = EulerCircuit(tuple(int(t) for t in args.circuit.split(",")))
@@ -160,37 +152,21 @@ def cmd_circuit(args) -> int:
             "length": circuit.length,
             "mod4": _verdict_dict(check_mod4_circuit(circuit)),
         }
-    _emit(args, canonical_json(out))
-    return 0
+    return canonical_json(out)
 
 
-def cmd_construct_nonidentical(args) -> int:
+def cmd_construct_nonidentical(args) -> str:
     doc = _load_document(args.input)
     result = construct_nonidentical_cde(doc.graph, args.coupling)
     if result:
-        _emit(
-            args,
-            emit_json(
-                doc.graph,
-                names=doc.names,
-                phases=result.phases,
-                frequencies=result.frequencies,
-                coupling=result.coupling,
-            ),
-        )
+        fields = dict(phases=result.phases, frequencies=result.frequencies,
+                      coupling=result.coupling)
     else:
-        _emit(
-            args,
-            emit_json(
-                doc.graph,
-                names=doc.names,
-                report={"bipartite": False, "odd_cycle": list(result.odd_cycle)},
-            ),
-        )
-    return 0
+        fields = dict(report={"bipartite": False, "odd_cycle": list(result.odd_cycle)})
+    return emit_json(doc.graph, names=doc.names, **fields)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     doc = _load_document(args.input)
     sys_ = _doc_system(args, doc)
     try:
@@ -208,11 +184,10 @@ def cmd_simulate(args) -> int:
         row += [f"{x:.17g}" for x in trace.states[i]]
         row.append(f"{trace.energies[i]:.17g}")
         lines.append(",".join(row))
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> str:
     doc = _load_document(args.input)
     sys_ = _doc_system(args, doc)
     theta = _doc_phases(args, doc)
@@ -234,24 +209,15 @@ def cmd_probe(args) -> int:
         dt=args.dt,
         max_steps=args.max_steps,
     )
-    out = {
-        "escaped": report.escaped,
-        "exit_time": report.exit_time,
-        "max_distance": report.max_distance,
-        "steps": report.steps,
-        "converged": report.converged,
-    }
-    _emit(args, canonical_json(out))
-    return 0
+    return canonical_json(dataclasses.asdict(report))
 
 
-def cmd_rarity(args) -> int:
+def cmd_rarity(args) -> str:
     report = rarity_experiment(args.n, args.p, args.samples, args.seed, budget=args.budget)
-    _emit(args, canonical_json(report.to_dict()))
-    return 0
+    return canonical_json(report.to_dict())
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     rows = family_sweep(args.family, _int_list(args.params), glue_seed=args.glue_seed,
                         budget=args.budget)
     lines = ["family,parameter,vertex_count,edge_count,admits,decided_by,cde_count,circuit_length"]
@@ -261,18 +227,16 @@ def cmd_sweep(args) -> int:
             f"{r.family},{r.parameter},{r.vertex_count},{r.edge_count},"
             f"{str(r.admits).lower()},{r.decided_by},{r.cde_count},{circuit}"
         )
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> str:
     doc = _load_document(args.input)
     # _doc_phases precedence, but a labeling is drawn by label, not by phase
     theta = None if args.phases else _doc_labeling(args, doc)
     if theta is None:
         theta = _doc_phases(args, doc)
-    _emit(args, render_svg(doc.graph, theta, layout=args.layout, tol=args.tol))
-    return 0
+    return render_svg(doc.graph, theta, layout=args.layout, tol=args.tol)
 
 
 def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -370,10 +334,15 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, BudgetExceededError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, connected_components, contains_triangle, is_bipartite
-from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap
+from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap, vector_field
 
 __all__ = [
     "QuarterLabeling",
@@ -148,7 +148,7 @@ def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     Every neighbor of k must sit at theta_k +- pi/2 (within tol) and the
     two offsets must occur equally often.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = phase_vector(theta, g.vertex_count)
     for k in range(g.vertex_count):
@@ -185,7 +185,7 @@ def is_cde_nonidentical(
     sine balance sum_j a_jk sin(theta_j - theta_k) = -omega_k / K. Also
     reports whether each ratio omega_k / K is an integer within tol.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     g = sys.graph
     theta = phase_vector(theta, g.vertex_count)
@@ -338,30 +338,6 @@ def circuit_to_phases(g: Graph, circuit: EulerCircuit, base: float = 0.0) -> Qua
     return QuarterLabeling(tuple(labels), base)
 
 
-def _exact_cde_labels(g: Graph, q: QuarterLabeling) -> None:
-    """Integer-exact CDE validity of a labeling; raises ValueError if not."""
-    if len(q.labels) != g.vertex_count:
-        raise ValueError(f"labeling has {len(q.labels)} entries for {g.vertex_count} vertices")
-    for k in range(g.vertex_count):
-        plus = minus = 0
-        for j in g.neighbors(k):
-            off = (q.labels[j] - q.labels[k]) % 4
-            if off == 1:
-                plus += 1
-            elif off == 3:
-                minus += 1
-            else:
-                raise ValueError(
-                    f"not a completely degenerate equilibrium: labels of edge "
-                    f"({min(j, k)}, {max(j, k)}) differ by {off} mod 4"
-                )
-        if plus != minus:
-            raise ValueError(
-                f"not a completely degenerate equilibrium: vertex {k} has "
-                f"{plus} neighbors at +1 and {minus} at -1"
-            )
-
-
 def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
     """Build an Euler circuit along which the label rises by +1 mod 4.
 
@@ -376,7 +352,9 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
         raise ValueError("graph has no edges")
     if len(connected_components(g)) != 1:
         raise ValueError("graph must be connected")
-    _exact_cde_labels(g, q)
+    verdict = is_cde(g, q.phases())
+    if not verdict:
+        raise ValueError(f"not a completely degenerate equilibrium: {verdict.reason}")
 
     succ = {
         v: deque(j for j in g.neighbors(v) if (q.labels[j] - q.labels[v]) % 4 == 1)
@@ -452,12 +430,7 @@ def construct_nonidentical_cde(g: Graph, coupling: float = 1.0) -> NonidenticalC
         return NonidenticalConstruction(None, None, coupling, split.odd_cycle)
     theta = np.zeros(g.vertex_count)
     theta[list(split.parts[1])] = HALF_PI
-    omega = np.array(
-        [
-            -coupling * sum(np.sin(theta[j] - theta[k]) for j in g.neighbors(k))
-            for k in range(g.vertex_count)
-        ]
-    )
+    omega = -coupling * vector_field(OscillatorSystem.identical(g), theta)
     return NonidenticalConstruction(theta, omega, coupling)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .degeneracy import (
     EulerCircuit,
     QuarterLabeling,
-    check_mod4_circuit,
     circuit_to_phases,
     is_cde_nonidentical,
 )
@@ -93,8 +92,6 @@ def edge_pair_perturbation(g: Graph, q: QuarterLabeling, c: EulerCircuit, x: flo
     """Shift the first two circuit vertices j, k by +x and -x respectively."""
     if not np.isfinite(x):
         raise ValueError("x must be finite")
-    if not check_mod4_circuit(c):
-        raise ValueError("circuit fails the mod-4 revisit property")
     if circuit_to_phases(g, c, q.base).labels != q.labels:
         raise ValueError("circuit does not realize the given labeling")
     j, k = c.vertices[0], c.vertices[1]

@@ -225,7 +225,7 @@ def classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:
     An edge is critical when the circular distance is within tol of pi/2,
     short below that band, long above it.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = _check_state(sys, theta)
     labels = {}

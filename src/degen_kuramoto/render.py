@@ -83,7 +83,7 @@ def render_svg(g: Graph, theta, layout="circular", tol: float = 1.0e-9) -> str:
     (colored by nearest quarter within tol, else by hue). layout is
     "circular", "hypercube", or an explicit (x, y) sequence per vertex.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     n = g.vertex_count
     if isinstance(theta, QuarterLabeling):

@@ -197,6 +197,8 @@ def test_render_phases_take_precedence_over_labels(capsys, c4_file):
     ("detect", "--labels", "0,1,2,3", "--coupling", "1", "--tol", "-1"),
     ("render", "--labels", "0,1,2,3", "--tol", "-1"),
     ("enumerate", "--budget", "-1"),
+    ("detect", "--labels", "0,1,2,3", "--tol", "nan"),
+    ("render", "--labels", "0,1,2,3", "--tol", "nan"),
 ])
 def test_negative_tolerance_or_budget_exits_one(capsys, c4_file, argv):
     code, out, err = run(capsys, *argv[:1], "--input", c4_file, *argv[1:])
@@ -358,3 +360,39 @@ def test_malformed_json_document_exits_one(capsys, tmp_path, body):
     code, out, err = run(capsys, "detect", "--input", str(path))
     assert code == 1 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+# Per subcommand, a run that succeeds and one that fails with exit 1;
+# "C4" stands for the C4 edge-list path.
+OUTPUT_CASES = {
+    "detect": (("--input", "C4", "--labels", "0,1,2,3"),
+               ("--input", "C4", "--labels", "0,1,2,3", "--tol", "-1")),
+    "enumerate": (("--input", "C4"), ("--input", "C4", "--budget", "0")),
+    "circuit": (("--input", "C4", "--labels", "0,1,2,3"),
+                ("--input", "C4", "--labels", "0,0,0,0")),
+    "construct-nonidentical": (("--input", "C4"), ("--input", "C4", "--coupling", "0")),
+    "simulate": (("--input", "C4", "--phases", "0.4,0.1,0.2,0.3", "--steps", "20"),
+                 ("--input", "C4", "--phases", "0.4,0.1,0.2,0.3", "--dt", "0")),
+    "probe": (("--input", "C4", "--labels", "0,1,2,3", "--x0", "0.05", "--max-steps", "100000"),
+              ("--input", "C4", "--labels", "0,1,2,3", "--x0", "0.3")),
+    "rarity": (("--n", "8", "--p", "0.5", "--samples", "20", "--seed", "7"),
+               ("--n", "8", "--p", "1.5", "--samples", "20")),
+    "sweep": (("--family", "cycle", "--params", "3:9"), ("--family", "cycle", "--params", "x")),
+    "render": (("--input", "C4", "--labels", "0,1,2,3"),
+               ("--input", "C4", "--labels", "0,1,2,3", "--tol", "nan")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_output_file_holds_the_stdout_bytes(capsys, c4_file, tmp_path, command):
+    ok, bad = ([c4_file if a == "C4" else a for a in argv] for argv in OUTPUT_CASES[command])
+    code, expected, _ = run(capsys, command, *ok)
+    assert code == 0 and expected
+    out_file = tmp_path / "out"
+    code, out, _ = run(capsys, command, *ok, "--output", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_text() == expected
+    out_file.unlink()
+    code, out, err = run(capsys, command, *bad, "--output", str(out_file))
+    assert code == 1 and out == "" and "error:" in err
+    assert not out_file.exists()

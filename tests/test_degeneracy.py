@@ -183,13 +183,26 @@ def test_enumerate_budget_is_shared_across_searches():
         enumerate_cdes(hypercube_graph(6), budget=1000)
 
 
+def test_q6_search_cost_is_pinned():
+    # 70 x 140 side solutions in exactly 11,931 search nodes; the search runs
+    # in BFS order, so relabeling the vertices leaves the cost unchanged
+    q6 = hypercube_graph(6)
+    perm = np.random.default_rng(6).permutation(q6.vertex_count)
+    relabeled = Graph(q6.vertex_count, [(perm[u], perm[v]) for u, v in q6.edges])
+    for g in (q6, relabeled):
+        assert len(enumerate_cdes(g, budget=11_931)) == 9800
+        with pytest.raises(BudgetExceededError):
+            enumerate_cdes(g, budget=11_930)
+
+
 def test_negative_tolerance_and_budget_are_rejected():
     c4 = cycle_graph(4)
     theta = QuarterLabeling((0, 1, 2, 3)).phases()
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        is_cde(c4, theta, tol=-1.0)
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        is_cde_nonidentical(OscillatorSystem.identical(c4), theta, tol=-1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            is_cde(c4, theta, tol=tol)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            is_cde_nonidentical(OscillatorSystem.identical(c4), theta, tol=tol)
     for search in (enumerate_cdes, admits_cde):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             search(c4, budget=-1)

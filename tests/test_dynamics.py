@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from degen_kuramoto import (
+    CircuitLabelConflictError,
+    EulerCircuit,
     OscillatorSystem,
+    QuarterLabeling,
     complete_bipartite_graph,
     construct_nonidentical_cde,
     cycle_graph,
@@ -86,6 +89,13 @@ def test_edge_pair_perturbation():
     assert set(moved) == {c.vertices[0], c.vertices[1]}
     with pytest.raises(ValueError, match="realize"):
         edge_pair_perturbation(g, enumerate_cdes(g)[1], c, 0.1)
+
+
+def test_edge_pair_perturbation_rejects_a_circuit_failing_mod4():
+    # an Euler circuit of C6 returns to its start after 6 steps, not 0 mod 4
+    c6 = EulerCircuit((0, 1, 2, 3, 4, 5, 0))
+    with pytest.raises(CircuitLabelConflictError):
+        edge_pair_perturbation(cycle_graph(6), QuarterLabeling((0, 1, 2, 3, 0, 1)), c6, 0.1)
 
 
 def test_energy_gap_matches_closed_form():

@@ -168,8 +168,9 @@ def test_render_svg_explicit_layout_and_errors():
 
 
 def test_render_svg_rejects_negative_tolerance():
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        render_svg(cycle_graph(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], tol=-1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            render_svg(cycle_graph(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], tol=tol)
 
 
 def test_format_constant():

@@ -171,6 +171,13 @@ def test_classify_edges():
     assert classify_edges(edge, near, tol=1e-4) == {(0, 1): "long"}
 
 
+def test_classify_edges_rejects_negative_or_nan_tolerance():
+    c4 = OscillatorSystem.identical(cycle_graph(4))
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify_edges(c4, C4_CDE, tol=tol)
+
+
 def test_all_critical_edges_means_zero_jacobian():
     # the glued 7-vertex example: all critical edges, Jacobian vanishes
     from degen_kuramoto import enumerate_cdes, glue_four_cycle

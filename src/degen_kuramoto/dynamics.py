@@ -154,6 +154,7 @@ def instability_probe(
     |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
     escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13):
     residual drift over the remaining budget is then far below epsilon.
+    Raises NonFiniteStateError if the state stops being finite.
     """
     theta = phase_vector(theta, sys.graph.vertex_count)
     direction = np.asarray(direction, dtype=float)
@@ -175,7 +176,9 @@ def instability_probe(
         dist = float(np.max(circular_distance(y, theta)))
         if dist > max_distance:
             max_distance = dist
-        if dist > epsilon:
+        if not dist <= epsilon:  # escaped, or NaN from a non-finite state
+            if dist != dist:
+                raise NonFiniteStateError(step)
             return EscapeReport(True, step * dt, max_distance, step)
         if step % 256 == 0:
             if float(np.max(np.abs(_field(sys, y)))) < 1.0e-13:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,18 +41,20 @@ class Graph:
         canonical = set()
         for u, v in edges:
             u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            lo, hi = (u, v) if u < v else (v, u)
+            if not 0 <= lo < hi < n:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            canonical.add((u, v) if u < v else (v, u))
+            canonical.add((lo, hi))
         self._n = n
         self._edges = tuple(sorted(canonical))
+        # sorted pairs fill every adjacency list in ascending order
         adj = [[] for _ in range(n)]
         for u, v in self._edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def vertex_count(self) -> int:
@@ -208,7 +211,7 @@ def is_eulerian(g: Graph) -> EulerianResult:
 
 def contains_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some vertex triple with all three edges present, or None."""
-    nbr = [set(g.neighbors(v)) for v in range(g.vertex_count)]
+    nbr = [set(a) for a in g._adj]
     for u, v in g.edges:
         common = nbr[u] & nbr[v]
         if common:
@@ -262,7 +265,16 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    u, v = _pair_index(n)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.random(len(pairs))
-    return Graph(n, [pair for pair, x in zip(pairs, draws) if x < p])
+    keep = rng.random(u.size) < p
+    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only endpoint arrays of the pairs u < v in lexicographic (row-major) order."""
+    u, v = np.triu_indices(n, 1)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v

@@ -76,6 +76,18 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, edges)
 
 
+def reference_erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from a Python list of the pairs u < v in lexicographic order.
+
+    The pair-list sampler that `erdos_renyi` replaced; one Philox draw per
+    pair, kept when the draw is below p.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    draws = rng.random(len(pairs))
+    return Graph(n, [pair for pair, x in zip(pairs, draws) if x < p])
+
+
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     while True:
         g = random_graph(n, p, rng)

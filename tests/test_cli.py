@@ -76,6 +76,15 @@ def test_detect_c4_true(capsys, c4_file):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_detect_readme_star_example(capsys, tmp_path):
+    path = tmp_path / "star.edges"
+    path.write_text("0 1\n0 2\n0 3\n")
+    code, out, err = run(capsys, "detect", "--input", str(path), "--labels", "0,1,1,1",
+                         "--coupling", "1", "--frequencies=-3,1,1,1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["ok"] is True
+
+
 def test_detect_nonidentical(capsys, tmp_path):
     path = tmp_path / "star.edges"
     path.write_text("c a\nc b\nc d\n")
@@ -147,6 +156,14 @@ def test_probe_escapes_from_cde(capsys, c4_file):
     assert code == 0
     report = json.loads(out)
     assert report["escaped"] is True and report["exit_time"] > 0
+
+
+def test_probe_non_finite_state_exits_one(capsys, c4_file):
+    code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",
+                         "--x0", "0.2", "--epsilon", "1.0", "--dt", "1.7e308",
+                         "--max-steps", "5")
+    assert code == 1 and out == ""
+    assert "error: non-finite state at step 1" in err and "Traceback" not in err
 
 
 def test_probe_requires_direction_for_bare_phases(capsys, c4_file):

@@ -6,6 +6,7 @@ import pytest
 from degen_kuramoto import (
     CircuitLabelConflictError,
     EulerCircuit,
+    NonFiniteStateError,
     OscillatorSystem,
     QuarterLabeling,
     complete_bipartite_graph,
@@ -214,6 +215,21 @@ def test_instability_probe_preconditions():
             instability_probe(sys_, theta, direction, x0=0.05, dt=dt)
     with pytest.raises(ValueError, match="max_steps"):
         instability_probe(sys_, theta, direction, x0=0.05, max_steps=0)
+
+
+def test_instability_probe_raises_on_a_non_finite_state():
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    direction = np.array([-1.0, 1.0, 0.0, 0.0])  # the energy-descending sign
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteStateError) as info:
+            instability_probe(sys_, theta, direction, x0=0.2, epsilon=1.0, dt=1.7e308,
+                              max_steps=5)
+        assert info.value.step == 1
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate(sys_, theta + 0.2 * direction, dt=1.7e308, steps=5)
+        assert info.value.step == 1
 
 
 def test_descending_sign_picks_the_energy_drop():

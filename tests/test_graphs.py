@@ -14,6 +14,7 @@ from degen_kuramoto import (
     is_bipartite,
     is_eulerian,
 )
+from helpers import reference_erdos_renyi
 
 
 def test_graph_normalizes_and_validates():
@@ -26,6 +27,42 @@ def test_graph_normalizes_and_validates():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+def test_graph_edge_input_order_and_type_do_not_matter():
+    rng = np.random.default_rng(5)
+    base = erdos_renyi(30, 0.2, 11)
+    edges = list(base.edges)
+    shuffled = [edges[i] for i in rng.permutation(len(edges))]
+    variants = [
+        shuffled,
+        [(v, u) for u, v in shuffled],
+        edges + [(v, u) for u, v in edges[::3]] + edges[::2],
+        [(np.int64(u), np.int32(v)) for u, v in shuffled],
+        np.array(shuffled, dtype=np.int64),
+    ]
+    for variant in variants:
+        g = Graph(30, variant)
+        assert g == base and g.edges == base.edges
+        for k in range(30):
+            nbrs = g.neighbors(k)
+            assert list(nbrs) == sorted(nbrs) == sorted(base.neighbors(k))
+            assert all(type(w) is int for w in nbrs)
+
+
+def test_graph_error_messages_name_the_first_bad_edge():
+    cases = [
+        (3, [(2, 2)], "self-loop at vertex 2"),
+        (3, [(3, 1)], "edge (3, 1) outside 0..2"),
+        (3, [(-1, 0)], "edge (-1, 0) outside 0..2"),
+        (3, [(0, 1), (1, 1), (0, 5)], "self-loop at vertex 1"),
+        (3, [(1, 2), (0, 5), (1, 1)], "edge (0, 5) outside 0..2"),
+        (3, [(4, 4)], "self-loop at vertex 4"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
 
 
 def test_degree():
@@ -140,6 +177,21 @@ def test_erdos_renyi_endpoints_and_reproducibility():
     assert a != erdos_renyi(12, 0.3, 43)
     with pytest.raises(ValueError):
         erdos_renyi(5, 1.5, 0)
+
+
+def test_erdos_renyi_matches_the_pair_list_reference():
+    for n in (0, 1, 2, 3, 12, 40, 100):
+        for p in (0.0, 0.05, 0.1, 0.5, 1.0):
+            for seed in range(200):
+                g = erdos_renyi(n, p, seed)
+                ref = reference_erdos_renyi(n, p, seed)
+                assert g.edges == ref.edges, (n, p, seed)
+                nbrs = [[] for _ in range(n)]
+                for u, v in ref.edges:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+                for k in range(n):
+                    assert g.neighbors(k) == tuple(sorted(nbrs[k])), (n, p, seed, k)
 
 
 def test_erdos_renyi_edge_count_concentration():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, connected_components, contains_triangle, is_bipartite
+from .graphs import Graph, _bfs_forest, connected_components, contains_triangle, is_bipartite
 from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap, vector_field
 
 __all__ = [
@@ -258,28 +258,22 @@ def enumerate_cdes(
     takes label 0; the CDEs are the product of all the side solutions.
     Isolated vertices get label 0. Raises BudgetExceededError when the
     searches together visit more than `budget` nodes; an empty list means
-    no CDE exists.
+    no CDE exists. An odd degree or an odd cycle anywhere returns the empty
+    list before any search.
     """
     budget = int(budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if any(g.degree(v) % 2 for v in range(g.vertex_count)):
         return []
+    orders, _, side, conflict = _bfs_forest(g)
+    if conflict is not None:
+        return []
     budget_state = [0, budget]
-    side: dict[int, int] = {}
     halves = []  # (side bit, its vertices, their s solutions)
-    for root in range(g.vertex_count):
-        if root in side or not g.degree(root):
+    for order in orders:
+        if len(order) == 1:
             continue
-        side[root] = 0
-        order = [root]
-        for v in order:  # BFS: the loop visits vertices as they are appended
-            for w in g.neighbors(v):
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    order.append(w)
-                elif side[w] == side[v]:
-                    return []
         for bit in (0, 1):
             verts = [v for v in order if side[v] == bit]
             sols = _exact_half_assignments(g, verts, bit == 0, budget_state, limit)
@@ -316,25 +310,20 @@ def _validate_circuit(g: Graph, circuit: EulerCircuit) -> None:
 
 
 def circuit_to_phases(g: Graph, circuit: EulerCircuit, base: float = 0.0) -> QuarterLabeling:
-    """Walk the circuit raising the label by +1 mod 4 at each step.
+    """Label each circuit vertex by its position mod 4, so each step adds +1.
 
-    The start vertex takes label 0. Raises CircuitLabelConflictError when a
-    revisit would assign a different label, i.e. some revisit gap is not a
-    multiple of four. Isolated vertices (never on the circuit) get label 0.
+    The start vertex takes label 0. Raises CircuitLabelConflictError with
+    the first failure check_mod4_circuit reports, i.e. when some revisit gap
+    is not a multiple of four. Isolated vertices (never on the circuit) get
+    label 0.
     """
     _validate_circuit(g, circuit)
-    labels = [-1] * g.vertex_count
-    first_pos: dict[int, int] = {}
+    verdict = check_mod4_circuit(circuit)
+    if not verdict:
+        raise CircuitLabelConflictError(verdict.vertex, *verdict.positions)
+    labels = [0] * g.vertex_count
     for i, v in enumerate(circuit.vertices):
-        lab = i % 4
-        if labels[v] < 0:
-            labels[v] = lab
-            first_pos[v] = i
-        elif labels[v] != lab:
-            raise CircuitLabelConflictError(v, first_pos[v], i)
-    for v in range(g.vertex_count):
-        if labels[v] < 0:
-            labels[v] = 0
+        labels[v] = i % 4
     return QuarterLabeling(tuple(labels), base)
 
 

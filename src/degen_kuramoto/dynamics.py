@@ -156,11 +156,13 @@ def instability_probe(
     residual drift over the remaining budget is then far below epsilon.
     Raises NonFiniteStateError if the state stops being finite.
     """
+    if sys.graph.vertex_count == 0:
+        raise ValueError("graph has no vertices")
     theta = phase_vector(theta, sys.graph.vertex_count)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != theta.shape:
         raise ValueError("direction must match the state shape")
-    residual = float(np.max(np.abs(_field(sys, theta)))) if theta.size else 0.0
+    residual = float(np.max(np.abs(_field(sys, theta))))
     if residual >= 1.0e-10:
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")
     if not abs(x0) < epsilon / 4.0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,28 +105,40 @@ class Graph:
         return f"Graph(vertices={self._n}, edges={len(self._edges)})"
 
 
+def _bfs_forest(g: Graph):
+    """One BFS from each smallest unvisited vertex, neighbors in ascending order.
+
+    Returns the visit order of each component, each vertex's BFS parent (-1
+    at a root), its side (0 at a root, alternating along tree edges) and the
+    first edge (v, w) in visit order whose ends share a side, or None.
+    """
+    side = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    orders = []
+    conflict = None
+    for root in range(g.vertex_count):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        order = [root]
+        for v in order:  # the loop visits vertices as they are appended
+            for w in g._adj[v]:
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    parent[w] = v
+                    order.append(w)
+                elif conflict is None and side[w] == side[v]:
+                    conflict = (v, w)
+        orders.append(order)
+    return orders, parent, side, conflict
+
+
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Partition of vertex ids into connected components.
 
     Components are sorted internally and listed by their smallest vertex.
     """
-    seen = [False] * g.vertex_count
-    parts = []
-    for root in range(g.vertex_count):
-        if seen[root]:
-            continue
-        queue = deque([root])
-        seen[root] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        parts.append(tuple(sorted(comp)))
-    return tuple(parts)
+    return tuple(tuple(sorted(order)) for order in _bfs_forest(g)[0])
 
 
 @dataclass(frozen=True)
@@ -146,24 +157,11 @@ def is_bipartite(g: Graph) -> BipartitenessResult:
 
     Component roots (smallest ids) always land in the first part.
     """
-    color = [-1] * g.vertex_count
-    parent = [-1] * g.vertex_count
-    for root in range(g.vertex_count):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return BipartitenessResult(None, _odd_cycle(parent, v, w))
-    zeros = tuple(v for v in range(g.vertex_count) if color[v] == 0)
-    ones = tuple(v for v in range(g.vertex_count) if color[v] == 1)
+    _, parent, side, conflict = _bfs_forest(g)
+    if conflict is not None:
+        return BipartitenessResult(None, _odd_cycle(parent, *conflict))
+    zeros = tuple(v for v in range(g.vertex_count) if side[v] == 0)
+    ones = tuple(v for v in range(g.vertex_count) if side[v] == 1)
     return BipartitenessResult((zeros, ones), None)
 
 

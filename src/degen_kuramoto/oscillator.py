@@ -80,7 +80,7 @@ class OscillatorSystem:
     case coupling = 1, frequencies = 0.
     """
 
-    __slots__ = ("graph", "coupling", "frequencies", "_adjacency", "_edge_u", "_edge_v")
+    __slots__ = ("graph", "coupling", "frequencies", "_edge_u", "_edge_v")
 
     def __init__(self, graph: Graph, coupling: float = 1.0, frequencies=None):
         coupling = float(coupling)
@@ -99,8 +99,6 @@ class OscillatorSystem:
         self.coupling = coupling
         self.frequencies = omega
         self.frequencies.setflags(write=False)
-        self._adjacency = graph.adjacency_matrix()
-        self._adjacency.setflags(write=False)
         if graph.edge_count:
             eu, ev = zip(*graph.edges)
         else:
@@ -155,7 +153,7 @@ def jacobian(sys: OscillatorSystem, theta) -> np.ndarray:
     """
     theta = _check_state(sys, theta)
     diffs = theta[None, :] - theta[:, None]
-    j = sys.coupling * sys._adjacency * np.cos(diffs)
+    j = sys.coupling * sys.graph.adjacency_matrix() * np.cos(diffs)
     j[np.diag_indices_from(j)] = 0.0
     j[np.diag_indices_from(j)] = -j.sum(axis=1)
     return j

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
 from degen_kuramoto import Graph
+from degen_kuramoto.graphs import _odd_cycle
 
 
 def brute_force_cdes(g: Graph) -> list[tuple[int, ...]]:
@@ -128,6 +130,69 @@ def random_nonbipartite_graph(n: int, rng: np.random.Generator, p: float = 0.5) 
         g = random_graph(n, p, rng)
         if not two_colorable(g):
             return g
+
+
+def reference_connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The queue BFS that `connected_components` ran before the shared BFS forest."""
+    seen = [False] * g.vertex_count
+    parts = []
+    for root in range(g.vertex_count):
+        if seen[root]:
+            continue
+        queue = deque([root])
+        seen[root] = True
+        comp = []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        parts.append(tuple(sorted(comp)))
+    return tuple(parts)
+
+
+def reference_is_bipartite(g: Graph):
+    """(parts, odd_cycle) from the queue BFS that `is_bipartite` ran before the
+    shared BFS forest; it stops at the first same-color edge."""
+    color = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    for root in range(g.vertex_count):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    parent[w] = v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None, _odd_cycle(parent, v, w)
+    zeros = tuple(v for v in range(g.vertex_count) if color[v] == 0)
+    ones = tuple(v for v in range(g.vertex_count) if color[v] == 1)
+    return (zeros, ones), None
+
+
+def random_euler_circuit(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:
+    """Closed walk using every edge once, by Hierholzer with random successor
+    choices; `g` must have all degrees even and its edges in one component."""
+    unused = {v: set(g.neighbors(v)) for v in range(g.vertex_count)}
+    start = int(rng.choice([v for v in unused if unused[v]]))
+    stack, circuit = [start], []
+    while stack:
+        v = stack[-1]
+        if unused[v]:
+            w = sorted(unused[v])[int(rng.integers(len(unused[v])))]
+            unused[v].discard(w)
+            unused[w].discard(v)
+            stack.append(w)
+        else:
+            circuit.append(stack.pop())
+    return tuple(circuit)
 
 
 def symmetric_2x2_eigs(a) -> list[float]:

@@ -62,6 +62,16 @@ def test_enumerate_c4(capsys, c4_file):
     ]
 
 
+def test_enumerate_reports_no_cde_when_a_later_component_is_an_odd_cycle(capsys, tmp_path):
+    q6 = [(v, v ^ (1 << i)) for v in range(64) for i in range(6) if v < v ^ (1 << i)]
+    c5 = [(64 + k, 64 + (k + 1) % 5) for k in range(5)]
+    path = tmp_path / "q6_c5.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in q6 + c5))
+    code, out, err = run(capsys, "enumerate", "--input", str(path), "--budget", "1000")
+    assert code == 0 and err == ""
+    assert '"cde_count":0' in out
+
+
 def test_detect_k3_false_with_diagnostic(capsys, k3_file):
     code, out, _ = run(capsys, "detect", "--input", k3_file,
                        "--phases", "0,1.5708,3.1416", "--tol", "1e-3")
@@ -164,6 +174,15 @@ def test_probe_non_finite_state_exits_one(capsys, c4_file):
                          "--max-steps", "5")
     assert code == 1 and out == ""
     assert "error: non-finite state at step 1" in err and "Traceback" not in err
+
+
+def test_probe_on_a_graph_with_no_vertices_exits_one(capsys, tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("")
+    code, out, err = run(capsys, "probe", "--input", str(path), "--phases", ",",
+                         "--direction", ",")
+    assert code == 1 and out == ""
+    assert err == "error: graph has no vertices\n"
 
 
 def test_probe_requires_direction_for_bare_phases(capsys, c4_file):

@@ -32,6 +32,7 @@ from helpers import (
     brute_force_cdes,
     random_bipartite_graph,
     random_connected_graph,
+    random_euler_circuit,
     random_graph,
 )
 
@@ -183,6 +184,14 @@ def test_enumerate_budget_is_shared_across_searches():
         enumerate_cdes(hypercube_graph(6), budget=1000)
 
 
+def test_a_same_side_edge_is_rejected_before_any_search():
+    # Q6 needs 11,931 search nodes, but the C5 beside it rules out every CDE
+    q6 = hypercube_graph(6)
+    g = Graph(69, list(q6.edges) + [(64 + k, 64 + (k + 1) % 5) for k in range(5)])
+    assert enumerate_cdes(g, budget=1000) == []
+    assert admits_cde(g).decided_by == "non-bipartite"
+
+
 def test_q6_search_cost_is_pinned():
     # 70 x 140 side solutions in exactly 11,931 search nodes; the search runs
     # in BFS order, so relabeling the vertices leaves the cost unchanged
@@ -268,6 +277,43 @@ def test_phases_to_circuit_rejects_bad_input():
                           QuarterLabeling((0, 1, 2, 3, 0)))
     with pytest.raises(ValueError, match="no edges"):
         phases_to_circuit(Graph(2), QuarterLabeling((0, 0)))
+
+
+def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
+    rng = np.random.default_rng(4)
+    cases = []
+    for g in (cycle_graph(4), cycle_graph(8), hypercube_graph(4), complete_bipartite_graph(2, 4),
+              glue_four_cycle(cycle_graph(4), 0)):
+        cases += [(g, phases_to_circuit(g, q).vertices) for q in enumerate_cdes(g)]
+    for g in (cycle_graph(6), cycle_graph(8), complete_graph(5), hypercube_graph(4),
+              complete_bipartite_graph(2, 4), glue_four_cycle(cycle_graph(6), 2),
+              Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])):
+        cases += [(g, random_euler_circuit(g, rng)) for _ in range(40)]
+    outcomes = set()
+    for g, vertices in cases:
+        circuit = EulerCircuit(vertices)
+        verdict = check_mod4_circuit(circuit)
+        outcomes.add(verdict.ok)
+        if verdict:
+            q = circuit_to_phases(g, circuit)
+            assert all(q.labels[v] == i % 4 for i, v in enumerate(vertices))
+            assert is_cde(g, q.phases())
+        else:
+            with pytest.raises(CircuitLabelConflictError) as info:
+                circuit_to_phases(g, circuit)
+            err = info.value
+            assert (err.vertex, (err.first_index, err.second_index)) == (
+                verdict.vertex, verdict.positions)
+    assert outcomes == {True, False}
+
+
+def test_circuit_label_conflict_names_the_smallest_failing_vertex():
+    k5 = complete_graph(5)
+    with pytest.raises(CircuitLabelConflictError) as info:
+        circuit_to_phases(k5, EulerCircuit((3, 1, 2, 3, 0, 1, 4, 2, 0, 4, 3)))
+    assert str(info.value) == (
+        "vertex 2 revisited after 5 steps (positions 2 and 7; gap not a multiple of 4)"
+    )
 
 
 def test_check_mod4_circuit():

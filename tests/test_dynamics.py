@@ -6,6 +6,7 @@ import pytest
 from degen_kuramoto import (
     CircuitLabelConflictError,
     EulerCircuit,
+    Graph,
     NonFiniteStateError,
     OscillatorSystem,
     QuarterLabeling,
@@ -215,6 +216,11 @@ def test_instability_probe_preconditions():
             instability_probe(sys_, theta, direction, x0=0.05, dt=dt)
     with pytest.raises(ValueError, match="max_steps"):
         instability_probe(sys_, theta, direction, x0=0.05, max_steps=0)
+
+
+def test_instability_probe_rejects_a_graph_with_no_vertices():
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        instability_probe(OscillatorSystem.identical(Graph(0)), [], [], x0=1e-3)
 
 
 def test_instability_probe_raises_on_a_non_finite_state():

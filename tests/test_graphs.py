@@ -14,7 +14,7 @@ from degen_kuramoto import (
     is_bipartite,
     is_eulerian,
 )
-from helpers import reference_erdos_renyi
+from helpers import reference_connected_components, reference_erdos_renyi, reference_is_bipartite
 
 
 def test_graph_normalizes_and_validates():
@@ -218,3 +218,20 @@ def test_generator_structural_audit():
         # triangle result and bipartiteness must not contradict each other
         if contains_triangle(g) is not None:
             assert not is_bipartite(g)
+
+
+def test_shared_bfs_matches_the_separate_searches():
+    # 6,006 seeded G(n, p) samples, most of them non-bipartite, plus families
+    graphs = [erdos_renyi(n, p, seed) for n in range(14) for p in (0.3, 0.5, 0.8)
+              for seed in range(143)]
+    assert sum(not is_bipartite(g) for g in graphs) > len(graphs) // 2
+    q4 = hypercube_graph(4)
+    graphs += [Graph(0), Graph(5), hypercube_graph(6), complete_bipartite_graph(3, 5),
+               glue_four_cycle(glue_four_cycle(cycle_graph(6), 3), 7),
+               Graph(21, list(q4.edges) + [(16, 17), (17, 18), (18, 16), (19, 20)])]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [complete_graph(n) for n in range(1, 8)]
+    for g in graphs:
+        res = is_bipartite(g)
+        assert (res.parts, res.odd_cycle) == reference_is_bipartite(g), g
+        assert connected_components(g) == reference_connected_components(g), g

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ def test_system_validation():
     sys_ = OscillatorSystem.identical(g)
     assert sys_.is_identical
     assert not OscillatorSystem(g, 2.0).is_identical
+
+
+def test_system_holds_no_dense_matrix():
+    g = cycle_graph(2000)  # a dense adjacency matrix would take 32 MB
+    tracemalloc.start()
+    try:
+        OscillatorSystem.identical(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_vector_field_examples():

@@ -324,7 +324,8 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # error lines, not numpy warnings
+            text = args.func(args)
         if args.output:
             Path(args.output).write_text(text)
         else:

@@ -18,12 +18,14 @@ independent exact-half searches over s.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bfs_forest, connected_components, contains_triangle, is_bipartite
+from .graphs import (Graph, _bfs_forest, _odd_cycle, connected_components,
+                     contains_triangle, is_bipartite)
 from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap, vector_field
 
 __all__ = [
@@ -248,6 +250,39 @@ def _exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
     return list(itertools.islice(search(0), limit))
 
 
+def _side_split(g: Graph, budget: int, limit: int | None):
+    """The BFS forest of g, then each side's exact-half solutions (at most `limit`).
+
+    Returns (forest, halves): halves lists (side bit, its vertices in BFS
+    order, their s solutions) for both sides of each component with an edge,
+    or is None when an odd degree, a same-side edge or a side without
+    solutions rules out every CDE. Budget errors as in enumerate_cdes.
+    """
+    budget_state = [0, int(budget)]
+    if budget_state[1] < 0:
+        raise ValueError("budget must be nonnegative")
+    forest = orders, _, side, conflict = _bfs_forest(g)
+    if conflict is not None or any(g.degree(v) % 2 for v in range(g.vertex_count)):
+        return forest, None
+    halves = []
+    for order in orders:
+        if len(order) == 1:
+            continue
+        for bit in (0, 1):
+            verts = [v for v in order if side[v] == bit]
+            sols = _exact_half_assignments(g, verts, bit == 0, budget_state, limit)
+            if not sols:
+                return forest, None
+            halves.append((bit, verts, sols))
+    return forest, halves
+
+
+def _count_cdes(g: Graph, budget: int) -> int:
+    """len(enumerate_cdes(g, budget)) as the product of the side-solution counts."""
+    _, halves = _side_split(g, budget, None)
+    return 0 if halves is None else math.prod(len(sols) for _, _, sols in halves)
+
+
 def enumerate_cdes(
     g: Graph, budget: int = 1_000_000, limit: int | None = None
 ) -> list[QuarterLabeling]:
@@ -261,26 +296,9 @@ def enumerate_cdes(
     no CDE exists. An odd degree or an odd cycle anywhere returns the empty
     list before any search.
     """
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if any(g.degree(v) % 2 for v in range(g.vertex_count)):
+    _, halves = _side_split(g, budget, limit)
+    if halves is None:
         return []
-    orders, _, side, conflict = _bfs_forest(g)
-    if conflict is not None:
-        return []
-    budget_state = [0, budget]
-    halves = []  # (side bit, its vertices, their s solutions)
-    for order in orders:
-        if len(order) == 1:
-            continue
-        for bit in (0, 1):
-            verts = [v for v in order if side[v] == bit]
-            sols = _exact_half_assignments(g, verts, bit == 0, budget_state, limit)
-            if not sols:
-                return []
-            halves.append((bit, verts, sols))
-
     results = []
     combos = itertools.product(*(sols for _, _, sols in halves))
     for combo in itertools.islice(combos, limit):
@@ -443,7 +461,7 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
 
     Filter order: edgeless graphs are trivially degenerate (flagged), any
     odd degree refutes, then a triangle, then non-bipartiteness; otherwise
-    enumeration decides. Raises BudgetExceededError like enumerate_cdes.
+    the side split, on the same BFS, decides. Raises BudgetExceededError.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -452,11 +470,10 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
     for k in range(g.vertex_count):
         if g.degree(k) % 2:
             return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
-    tri = contains_triangle(g)
+    (_, parent, _, conflict), halves = _side_split(g, budget, 1)
+    if conflict is None:
+        return AdmitsReport(halves is not None, "enumeration")
+    tri = contains_triangle(g)  # a triangle is an odd cycle: sought only now
     if tri is not None:
         return AdmitsReport(False, "triangle", triangle=tri)
-    split = is_bipartite(g)
-    if not split:
-        return AdmitsReport(False, "non-bipartite", odd_cycle=split.odd_cycle)
-    found = enumerate_cdes(g, budget=budget, limit=1)
-    return AdmitsReport(bool(found), "enumeration")
+    return AdmitsReport(False, "non-bipartite", odd_cycle=_odd_cycle(parent, *conflict))

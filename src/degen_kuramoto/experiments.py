@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import BudgetExceededError, admits_cde, enumerate_cdes
+from .degeneracy import BudgetExceededError, _count_cdes, admits_cde
 from .graphs import (
     Graph,
     complete_bipartite_graph,
@@ -36,12 +36,6 @@ BUCKETS = (
     "budget_exceeded",
     "admits",
 )
-
-_DECIDED_TO_BUCKET = {
-    "odd-degree": "odd_degree",
-    "triangle": "triangle",
-    "non-bipartite": "non_bipartite",
-}
 
 _Z95 = 1.959963984540054
 
@@ -119,15 +113,12 @@ def rarity_experiment(
         except BudgetExceededError:
             counts["budget_exceeded"] += 1
             continue
-        if report.edgeless:
-            counts["edgeless"] += 1
-        elif report.admits:
-            counts["admits"] += 1
+        bucket = report.decided_by.replace("-", "_")
+        if bucket == "enumeration":
+            bucket = "admits" if report.admits else "enumeration_empty"
+        counts[bucket] += 1
+        if bucket == "admits":
             witnesses.append((i, g.edges))
-        elif report.decided_by == "enumeration":
-            counts["enumeration_empty"] += 1
-        else:
-            counts[_DECIDED_TO_BUCKET[report.decided_by]] += 1
     admits = counts["admits"]
     low, high = _wilson_interval(admits, samples)
     return RarityReport(
@@ -199,7 +190,7 @@ def family_sweep(
     for parameter in parameters:
         g = _family_graph(family, int(parameter), glue_seed)
         report = admits_cde(g, budget=budget)
-        cdes = enumerate_cdes(g, budget=budget) if report.admits and not report.edgeless else []
+        count = _count_cdes(g, budget) if report.admits and not report.edgeless else 0
         rows.append(
             FamilySweepRow(
                 family=family,
@@ -208,8 +199,8 @@ def family_sweep(
                 edge_count=g.edge_count,
                 admits=report.admits,
                 decided_by=report.decided_by,
-                cde_count=len(cdes),
-                circuit_length=g.edge_count if cdes else None,
+                cde_count=count,
+                circuit_length=g.edge_count if count else None,
             )
         )
     return rows

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 
-from degen_kuramoto import Graph
-from degen_kuramoto.graphs import _odd_cycle
+from degen_kuramoto import AdmitsReport, BudgetExceededError, Graph, QuarterLabeling
+from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 
 
 def brute_force_cdes(g: Graph) -> list[tuple[int, ...]]:
@@ -193,6 +194,97 @@ def random_euler_circuit(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:
         else:
             circuit.append(stack.pop())
     return tuple(circuit)
+
+
+def _reference_exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
+    room = {u: [g.degree(u) // 2] * 2 for v in side for u in g.neighbors(v)}
+    chosen = []
+
+    def search(i):
+        if i == len(side):
+            yield tuple(chosen)
+            return
+        nbrs = g.neighbors(side[i])
+        for s in (0,) if i == 0 and pin_first else (0, 1):
+            budget_state[0] += 1
+            if budget_state[0] > budget_state[1]:
+                raise BudgetExceededError(budget_state[1])
+            for u in nbrs:
+                room[u][s] -= 1
+            if all(room[u][s] >= 0 for u in nbrs):
+                chosen.append(s)
+                yield from search(i + 1)
+                chosen.pop()
+            for u in nbrs:
+                room[u][s] += 1
+
+    return list(itertools.islice(search(0), limit))
+
+
+def reference_enumerate_cdes(g: Graph, budget: int = 1_000_000, limit: int | None = None):
+    """`enumerate_cdes` as it ran before the shared side split: its own degree
+    scan, BFS and side searches, each side list and the product cut at `limit`."""
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if any(g.degree(v) % 2 for v in range(g.vertex_count)):
+        return []
+    orders, _, side, conflict = _bfs_forest(g)
+    if conflict is not None:
+        return []
+    budget_state = [0, budget]
+    halves = []
+    for order in orders:
+        if len(order) == 1:
+            continue
+        for bit in (0, 1):
+            verts = [v for v in order if side[v] == bit]
+            sols = _reference_exact_half_assignments(g, verts, bit == 0, budget_state, limit)
+            if not sols:
+                return []
+            halves.append((bit, verts, sols))
+    results = []
+    combos = itertools.product(*(sols for _, _, sols in halves))
+    for combo in itertools.islice(combos, limit):
+        labels = [0] * g.vertex_count
+        for (bit, verts, _), sol in zip(halves, combo):
+            for v, s in zip(verts, sol):
+                labels[v] = bit + 2 * s
+        results.append(QuarterLabeling(tuple(labels), 0.0))
+    results.sort(key=lambda q: q.labels)
+    return results
+
+
+def reference_admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
+    """`admits_cde` as it ran before the shared side split: the triangle scan on
+    every even-degree graph, `is_bipartite`, then a one-labeling enumeration."""
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if g.edge_count == 0:
+        return AdmitsReport(True, "edgeless", edgeless=True)
+    for k in range(g.vertex_count):
+        if g.degree(k) % 2:
+            return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
+    tri = contains_triangle(g)
+    if tri is not None:
+        return AdmitsReport(False, "triangle", triangle=tri)
+    split = is_bipartite(g)
+    if not split:
+        return AdmitsReport(False, "non-bipartite", odd_cycle=split.odd_cycle)
+    found = reference_enumerate_cdes(g, budget=budget, limit=1)
+    return AdmitsReport(bool(found), "enumeration")
+
+
+def random_even_bipartite_graph(n: int, cycles: int, rng: np.random.Generator) -> Graph:
+    """Symmetric difference of random 4-cycles across a fixed split of 0..n-1
+    (n >= 4): every degree stays even and the split stays a bipartition."""
+    left, right = range(n // 2), range(n // 2, n)
+    edges = set()
+    for _ in range(cycles):
+        a, c = (int(x) for x in rng.choice(left, 2, replace=False))
+        b, d = (int(x) for x in rng.choice(right, 2, replace=False))
+        edges ^= {(a, b), (c, b), (c, d), (a, d)}
+    return Graph(n, edges)
 
 
 def symmetric_2x2_eigs(a) -> list[float]:

@@ -168,12 +168,22 @@ def test_probe_escapes_from_cde(capsys, c4_file):
     assert report["escaped"] is True and report["exit_time"] > 0
 
 
+# numpy's overflow warnings become errors here: stderr carries only the error line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_non_finite_state_exits_one(capsys, c4_file):
     code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",
                          "--x0", "0.2", "--epsilon", "1.0", "--dt", "1.7e308",
                          "--max-steps", "5")
     assert code == 1 and out == ""
-    assert "error: non-finite state at step 1" in err and "Traceback" not in err
+    assert err == "error: non-finite state at step 1\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_non_finite_state_exits_one(capsys, c4_file):
+    code, out, err = run(capsys, "simulate", "--input", c4_file, "--phases", "0,1,0,1",
+                         "--dt", "1.7e308")
+    assert code == 1 and out == ""
+    assert err == "error: non-finite state at step 1\n"
 
 
 def test_probe_on_a_graph_with_no_vertices_exits_one(capsys, tmp_path):

@@ -18,6 +18,8 @@ from degen_kuramoto import (
     contains_triangle,
     cycle_graph,
     enumerate_cdes,
+    erdos_renyi,
+    family_sweep,
     glue_four_cycle,
     hypercube_graph,
     is_cde,
@@ -27,13 +29,17 @@ from degen_kuramoto import (
     jacobian,
     phases_to_circuit,
 )
+from degen_kuramoto import degeneracy, graphs
 from helpers import (
     all_connected_graphs,
     brute_force_cdes,
     random_bipartite_graph,
     random_connected_graph,
     random_euler_circuit,
+    random_even_bipartite_graph,
     random_graph,
+    reference_admits_cde,
+    reference_enumerate_cdes,
 )
 
 HALF_PI = np.pi / 2
@@ -190,6 +196,77 @@ def test_a_same_side_edge_is_rejected_before_any_search():
     g = Graph(69, list(q6.edges) + [(64 + k, 64 + (k + 1) % 5) for k in range(5)])
     assert enumerate_cdes(g, budget=1000) == []
     assert admits_cde(g).decided_by == "non-bipartite"
+
+
+def _refute_graph():
+    """C6 with eight 4-cycles glued at vertex 0: even, bipartite, no CDE."""
+    g = cycle_graph(6)
+    for _ in range(8):
+        g = glue_four_cycle(g, 0)
+    return g
+
+
+def test_one_bfs_per_admits_cde_and_two_per_sweep_row(monkeypatch):
+    calls = []
+    real = graphs._bfs_forest
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_bfs_forest", counted)
+    monkeypatch.setattr(degeneracy, "_bfs_forest", counted)
+    for g in (hypercube_graph(4), _refute_graph()):
+        calls.clear()
+        admits_cde(g)
+        assert calls == [g]
+    calls.clear()
+    rows = family_sweep("glue-chain", range(4), "c8")
+    assert all(r.cde_count for r in rows)
+    assert len(calls) == 2 * len(rows)  # admits_cde, then the count
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return ("budget exceeded", exc.budget)
+
+
+def test_side_split_matches_the_separate_searches():
+    # the pre-split admits_cde and enumerate_cdes, kept in helpers, as oracles;
+    # a budget error is an outcome, so the thresholds must match as well
+    rng = np.random.default_rng(2024)
+    corpus = [erdos_renyi(n, p, seed) for n in range(13) for p in (0.15, 0.3, 0.5, 0.8)
+              for seed in range(25)]
+    corpus += [random_even_bipartite_graph(int(rng.integers(4, 13)), int(rng.integers(1, 7)), rng)
+               for _ in range(300)]
+    q4 = hypercube_graph(4)
+    q6 = hypercube_graph(6)
+    corpus += [
+        Graph(0), Graph(3), complete_graph(3), complete_graph(5), cycle_graph(5),
+        cycle_graph(4), cycle_graph(6), cycle_graph(8), cycle_graph(12),
+        hypercube_graph(3), q4, q6, complete_bipartite_graph(2, 4),
+        complete_bipartite_graph(4, 4), _refute_graph(),
+        Graph(32, list(q4.edges) + [(u + 16, v + 16) for u, v in q4.edges]),
+        Graph(69, list(q6.edges) + [(64 + k, 64 + (k + 1) % 5) for k in range(5)]),
+    ]
+    for seed in (cycle_graph(4), cycle_graph(8), complete_bipartite_graph(2, 4)):
+        for _ in range(3):
+            seed = glue_four_cycle(seed, 0)
+            corpus.append(seed)
+    budgets = (0, 5, 50, 1_000_000)
+    seen = set()
+    for g in corpus:
+        for budget in budgets:
+            report = _outcome(admits_cde, g, budget=budget)
+            assert report == _outcome(reference_admits_cde, g, budget=budget), g.edges
+            seen.add(report[0] if isinstance(report, tuple) else report.decided_by)
+            for limit in (1, 2, 7, None):
+                got = _outcome(enumerate_cdes, g, budget=budget, limit=limit)
+                assert got == _outcome(reference_enumerate_cdes, g, budget=budget, limit=limit)
+    assert seen == {"edgeless", "odd-degree", "triangle", "non-bipartite", "enumeration",
+                    "budget exceeded"}
 
 
 def test_q6_search_cost_is_pinned():

@@ -1,6 +1,8 @@
 import pytest
 
-from degen_kuramoto import family_sweep, rarity_experiment
+from degen_kuramoto import BudgetExceededError, enumerate_cdes, family_sweep, rarity_experiment
+from degen_kuramoto.experiments import _family_graph
+from helpers import brute_force_cdes
 
 
 def test_rarity_all_triangles():
@@ -79,6 +81,28 @@ def test_family_sweep_glue_chains():
     rows = family_sweep("glue-chain", range(2), glue_seed="c8")
     assert [r.vertex_count for r in rows] == [8, 11]
     assert all(r.admits for r in rows)
+
+
+def test_family_sweep_budget_thresholds_are_pinned():
+    # admits_cde's one-labeling search and the count each get the whole budget
+    for parameter, budget in ((8, 7685), (3, 235)):
+        [row] = family_sweep("glue-chain", [parameter], "c8", budget=budget)
+        assert row.admits and row.cde_count == 2 ** (parameter + 1)
+        with pytest.raises(BudgetExceededError):
+            family_sweep("glue-chain", [parameter], "c8", budget=budget - 1)
+
+
+def test_family_sweep_counts_match_listing_and_brute_force():
+    cases = [("cycle", range(3, 11), "c4"), ("hypercube", range(1, 4), "c4"),
+             ("glue-chain", range(3), "c4"), ("glue-chain", range(2), "k24"),
+             ("glue-chain", [0], "c8")]
+    counts = []
+    for family, parameters, glue_seed in cases:
+        for row in family_sweep(family, parameters, glue_seed):
+            g = _family_graph(family, row.parameter, glue_seed)
+            assert row.cde_count == len(enumerate_cdes(g)) == len(brute_force_cdes(g))
+            counts.append(row.cde_count)
+    assert 0 in counts and max(counts) > 2
 
 
 def test_family_sweep_unknown_family():

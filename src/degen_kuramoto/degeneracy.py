@@ -437,7 +437,10 @@ def construct_nonidentical_cde(g: Graph, coupling: float = 1.0) -> NonidenticalC
         return NonidenticalConstruction(None, None, coupling, split.odd_cycle)
     theta = np.zeros(g.vertex_count)
     theta[list(split.parts[1])] = HALF_PI
-    omega = -coupling * vector_field(OscillatorSystem.identical(g), theta)
+    with np.errstate(over="ignore"):
+        omega = -coupling * vector_field(OscillatorSystem.identical(g), theta)
+    if not np.isfinite(omega).all():
+        raise ValueError(f"coupling {coupling!r} makes the frequencies non-finite")
     return NonidenticalConstruction(theta, omega, coupling)
 
 

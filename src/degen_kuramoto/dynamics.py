@@ -10,6 +10,7 @@ gap sin(2x) - 2 sin(x)) and shifting a single unbalanced vertex by x
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,9 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(i)
         lift[i] = y
+    # checked after the loop, so a state that blows up first reports its step
+    if not math.isfinite(float(dt) * steps):
+        raise ValueError("dt * steps must be finite")
     times = dt * np.arange(steps + 1)
     states = np.mod(lift, TWO_PI)
     states[states >= TWO_PI] = 0.0

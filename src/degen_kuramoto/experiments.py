@@ -10,10 +10,9 @@ import numpy as np
 from .degeneracy import BudgetExceededError, _count_cdes, admits_cde
 from .graphs import (
     Graph,
+    _gnp_pairs,
     complete_bipartite_graph,
-    contains_triangle,
     cycle_graph,
-    erdos_renyi,
     glue_four_cycle,
     hypercube_graph,
 )
@@ -90,35 +89,67 @@ class RarityReport:
         }
 
 
+def _closes_triangle(adj: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges (u[k], v[k]), u < v, contain a triangle.
+
+    adj is an all-False n x n scratch matrix, left so. Only adj[u, v] is set,
+    so row k holds the neighbours above k, and a triangle a < b < c shows as
+    c in rows a and b, on its edge (a, b).
+    """
+    adj[u, v] = True
+    step = max(1, (1 << 18) // adj.shape[0])  # each (step, n) temporary stays under 256 kB
+    found = any(
+        (adj.take(u[k : k + step], 0) & adj.take(v[k : k + step], 0)).any()
+        for k in range(0, u.size, step)
+    )
+    adj[u, v] = False
+    return found
+
+
 def rarity_experiment(
     n: int, p: float, samples: int, seed: int, budget: int = 1_000_000
 ) -> RarityReport:
     """Sample G(n, p) graphs and tally which degeneracy filter decides each.
 
     Per-sample generator keys are derived from the seed, so the report is
-    reproducible bit for bit for fixed (n, p, samples, seed).
+    reproducible bit for bit for fixed (n, p, samples, seed). The edgeless,
+    odd-degree and triangle filters run on each sample's kept-pair arrays;
+    only the samples that pass them become a Graph for admits_cde, so every
+    tally is the one admits_cde gives on erdos_renyi(n, p, key).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     counts = {b: 0 for b in BUCKETS}
     witnesses = []
     triangles = 0
-    child_seeds = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64)
-    for i in range(samples):
-        g = erdos_renyi(n, p, int(child_seeds[i]))
-        if contains_triangle(g) is not None:
-            triangles += 1
-        try:
-            report = admits_cde(g, budget=budget)
-        except BudgetExceededError:
-            counts["budget_exceeded"] += 1
-            continue
-        bucket = report.decided_by.replace("-", "_")
-        if bucket == "enumeration":
-            bucket = "admits" if report.admits else "enumeration_empty"
+    # all False between samples; n < 0 is left for _gnp_pairs to reject
+    adj = np.zeros((max(n, 0),) * 2, dtype=bool)
+    keys = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64)
+    for i, key in enumerate(keys.tolist()):
+        u, v = _gnp_pairs(n, p, key)
+        if budget < 0:  # n and p are checked first, as when admits_cde saw every sample
+            raise ValueError("budget must be nonnegative")
+        triangle = u.size > 2 and _closes_triangle(adj, u, v)
+        triangles += triangle
+        if u.size == 0:
+            bucket = "edgeless"
+        elif ((np.bincount(u, minlength=n) + np.bincount(v, minlength=n)) % 2).any():
+            bucket = "odd_degree"
+        elif triangle:
+            bucket = "triangle"
+        else:
+            g = Graph(n, zip(u.tolist(), v.tolist()))
+            try:
+                report = admits_cde(g, budget=budget)
+            except BudgetExceededError:
+                counts["budget_exceeded"] += 1
+                continue
+            bucket = report.decided_by.replace("-", "_")
+            if bucket == "enumeration":
+                bucket = "admits" if report.admits else "enumeration_empty"
+            if bucket == "admits":
+                witnesses.append((i, g.edges))
         counts[bucket] += 1
-        if bucket == "admits":
-            witnesses.append((i, g.edges))
     admits = counts["admits"]
     low, high = _wilson_interval(admits, samples)
     return RarityReport(

@@ -259,6 +259,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     index), so the edge set depends only on (n, p, seed) and not on any
     iteration order.
     """
+    u, v = _gnp_pairs(n, p, seed)
+    return Graph(n, zip(u.tolist(), v.tolist()))
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept pairs of erdos_renyi(n, p, seed) as endpoint arrays u < v, sorted."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
@@ -266,7 +272,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     u, v = _pair_index(n)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     keep = rng.random(u.size) < p
-    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()))
+    return u[keep], v[keep]
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,7 +8,16 @@ from collections import deque
 
 import numpy as np
 
-from degen_kuramoto import AdmitsReport, BudgetExceededError, Graph, QuarterLabeling
+from degen_kuramoto import (
+    AdmitsReport,
+    BudgetExceededError,
+    Graph,
+    QuarterLabeling,
+    RarityReport,
+    admits_cde,
+    erdos_renyi,
+)
+from degen_kuramoto.experiments import BUCKETS, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 
 
@@ -89,6 +98,49 @@ def reference_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.random(len(pairs))
     return Graph(n, [pair for pair, x in zip(pairs, draws) if x < p])
+
+
+def reference_rarity_experiment(
+    n: int, p: float, samples: int, seed: int, budget: int = 1_000_000
+) -> RarityReport:
+    """`rarity_experiment` as it ran before the pair-array filters: every
+    sample is an `erdos_renyi` Graph scanned by `contains_triangle` and
+    decided by `admits_cde`."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    counts = {b: 0 for b in BUCKETS}
+    witnesses = []
+    triangles = 0
+    child_seeds = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64)
+    for i in range(samples):
+        g = erdos_renyi(n, p, int(child_seeds[i]))
+        if contains_triangle(g) is not None:
+            triangles += 1
+        try:
+            report = admits_cde(g, budget=budget)
+        except BudgetExceededError:
+            counts["budget_exceeded"] += 1
+            continue
+        bucket = report.decided_by.replace("-", "_")
+        if bucket == "enumeration":
+            bucket = "admits" if report.admits else "enumeration_empty"
+        counts[bucket] += 1
+        if bucket == "admits":
+            witnesses.append((i, g.edges))
+    admits = counts["admits"]
+    low, high = _wilson_interval(admits, samples)
+    return RarityReport(
+        n=n,
+        p=p,
+        samples=samples,
+        seed=seed,
+        counts=counts,
+        triangle_rate=triangles / samples,
+        estimate=admits / samples,
+        ci_low=low,
+        ci_high=high,
+        witnesses=tuple(witnesses),
+    )
 
 
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degen_kuramoto
 from degen_kuramoto import cli_dispatch
 from degen_kuramoto.cli import build_parser
 
@@ -442,3 +447,25 @@ def test_output_file_holds_the_stdout_bytes(capsys, c4_file, tmp_path, command):
     code, out, err = run(capsys, command, *bad, "--output", str(out_file))
     assert code == 1 and out == "" and "error:" in err
     assert not out_file.exists()
+
+
+def test_overflowing_inputs_exit_one_with_their_own_error(capsys, c4_file):
+    code, out, err = run(capsys, "simulate", "--input", c4_file, "--labels", "0,1,2,3",
+                         "--dt", "1.7e308", "--steps", "3")
+    assert (code, out, err) == (1, "", "error: dt * steps must be finite\n")
+    code, out, err = run(capsys, "construct-nonidentical", "--input", c4_file,
+                         "--coupling", "1e308")
+    assert (code, out, err) == (1, "", "error: coupling 1e+308 makes the frequencies non-finite\n")
+
+
+def test_python_dash_m_runs_the_console_script(c4_file):
+    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["enumerate", "--input", c4_file]
+    module = subprocess.run([sys.executable, "-m", "degen_kuramoto", *argv],
+                            capture_output=True, text=True, env=env)
+    # the degen-kuramoto script is `degen_kuramoto.cli:main` (pyproject.toml)
+    script = subprocess.run([sys.executable, "-c", "from degen_kuramoto.cli import main; main()",
+                             *argv], capture_output=True, text=True, env=env)
+    assert (module.returncode, module.stderr) == (0, "")
+    assert module.stdout == script.stdout and '"cde_count":2' in module.stdout

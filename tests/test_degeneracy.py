@@ -428,6 +428,13 @@ def test_construct_nonidentical_examples():
     assert np.allclose(res.frequencies, [-4.0, 4.0, -4.0, 4.0])
 
 
+def test_construct_nonidentical_names_an_overflowing_coupling():
+    with pytest.raises(ValueError, match=r"^coupling 1e\+308 makes the frequencies non-finite$"):
+        construct_nonidentical_cde(cycle_graph(4), coupling=1e308)
+    res = construct_nonidentical_cde(cycle_graph(4), coupling=1e307)
+    assert np.array_equal(res.frequencies, [-2e307, 2e307, -2e307, 2e307])
+
+
 def test_construct_nonidentical_satisfies_equilibrium_conditions():
     rng = np.random.default_rng(17)
     from helpers import random_bipartite_graph

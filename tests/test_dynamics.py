@@ -54,6 +54,15 @@ def test_integrate_validates_arguments():
         integrate(sys_, np.zeros(4), dt=1e-2, steps=0)
 
 
+def test_integrate_rejects_an_overflowing_time_axis():
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()  # an equilibrium: the state stays finite
+    with pytest.raises(ValueError, match=r"dt \* steps must be finite"):
+        integrate(sys_, theta, dt=1.7e308, steps=3)
+    assert np.isfinite(integrate(sys_, theta, dt=1.7e308, steps=1).times).all()
+
+
 def test_integrate_energy_descends_and_converges():
     rng = np.random.default_rng(23)
     for _ in range(8):

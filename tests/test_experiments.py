@@ -1,8 +1,17 @@
+import numpy as np
 import pytest
 
-from degen_kuramoto import BudgetExceededError, enumerate_cdes, family_sweep, rarity_experiment
-from degen_kuramoto.experiments import _family_graph
-from helpers import brute_force_cdes
+from degen_kuramoto import (
+    BudgetExceededError,
+    contains_triangle,
+    enumerate_cdes,
+    erdos_renyi,
+    family_sweep,
+    rarity_experiment,
+)
+from degen_kuramoto import experiments
+from degen_kuramoto.experiments import BUCKETS, _closes_triangle, _family_graph
+from helpers import brute_force_cdes, reference_rarity_experiment
 
 
 def test_rarity_all_triangles():
@@ -46,6 +55,75 @@ def test_rarity_report_serializes():
 def test_rarity_validates():
     with pytest.raises(ValueError):
         rarity_experiment(5, 0.3, 0, seed=1)
+
+
+RARITY_GRID = (
+    (12, 0.5, 300), (40, 0.1, 200), (100, 0.05, 60), (8, 0.5, 400), (5, 0.6, 400),
+    (9, 0.45, 300), (300, 0.3, 4), (6, 0.4, 1000), (0, 0.5, 3), (1, 0.5, 3),
+    (2, 0.5, 20), (7, 0.0, 5), (7, 1.0, 5), (3, 1.0, 5),
+)
+
+
+def test_rarity_matches_the_per_sample_graph_reference():
+    reached = set()
+    for n, p, samples in RARITY_GRID:
+        for seed in (1, 2):
+            for budget in (1_000_000, 0):
+                report = rarity_experiment(n, p, samples, seed, budget=budget)
+                assert report == reference_rarity_experiment(n, p, samples, seed, budget=budget)
+                reached |= {b for b, count in report.counts.items() if count}
+                keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
+                for i, edges in report.witnesses:
+                    assert edges == erdos_renyi(n, p, int(keys[i])).edges
+    assert reached == set(BUCKETS)
+
+
+def test_rarity_zero_budget_reaches_budget_exceeded():
+    report = rarity_experiment(6, 0.4, 1000, 1, budget=0)
+    assert report.counts["budget_exceeded"] > 0
+    assert report.counts["enumeration_empty"] == report.counts["admits"] == 0
+
+
+def test_rarity_errors_keep_their_precedence():
+    with pytest.raises(ValueError, match="samples"):
+        rarity_experiment(-1, 0.5, 0, seed=1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        rarity_experiment(-1, 2.0, 3, seed=1)
+    with pytest.raises(ValueError, match="p must lie"):
+        rarity_experiment(5, 2.0, 3, seed=1, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        rarity_experiment(2, 0.5, 3, seed=1, budget=-1)  # no sample reaches admits_cde
+
+
+@pytest.mark.parametrize("n, p, samples", [(40, 0.1, 600), (6, 0.4, 1000)])
+def test_rarity_builds_a_graph_only_for_filter_survivors(monkeypatch, n, p, samples):
+    built, searched = [], []
+    graph, admits_cde = experiments.Graph, experiments.admits_cde
+    monkeypatch.setattr(experiments, "Graph", lambda *a: built.append(a) or graph(*a))
+    monkeypatch.setattr(experiments, "admits_cde", lambda *a, **k: searched.append(a) or admits_cde(*a, **k))
+    rarity_experiment(n, p, samples, seed=5)
+    survivors = 0
+    for key in np.random.SeedSequence(5).generate_state(samples, dtype=np.uint64):
+        g = erdos_renyi(n, p, int(key))
+        even = all(g.degree(k) % 2 == 0 for k in range(n))
+        survivors += g.edge_count > 0 and even and contains_triangle(g) is None
+    assert len(built) == len(searched) == survivors
+    if n == 6:
+        assert survivors > 0
+
+
+def test_closes_triangle_finds_a_triangle_past_the_first_chunk():
+    n = 1200  # chunks of 218 edges
+    u = np.arange(n - 1)
+    v = u + 1  # a path: no triangle
+    adj = np.zeros((n, n), dtype=bool)
+    assert not _closes_triangle(adj, u, v)
+    assert not adj.any()
+    # the chord (n - 3, n - 1) closes the last three path vertices
+    u2, v2 = np.append(u, n - 3), np.append(v, n - 1)
+    order = np.lexsort((v2, u2))
+    assert _closes_triangle(adj, u2[order], v2[order])
+    assert not adj.any()
 
 
 def test_family_sweep_cycles():

@@ -31,7 +31,7 @@ from .dynamics import (
     instability_probe,
     integrate,
 )
-from .experiments import family_sweep, rarity_experiment
+from .experiments import FAMILIES, GLUE_SEEDS, family_sweep, rarity_experiment
 from .oscillator import OscillatorSystem
 from .render import render_svg
 
@@ -66,28 +66,31 @@ def _doc_labeling(args, doc: GraphDocument) -> QuarterLabeling | None:
     return None
 
 
-def _doc_phases(args, doc: GraphDocument) -> np.ndarray:
-    """Phases from --phases, --labels, or the document, in that order."""
+def _doc_state(args, doc: GraphDocument) -> np.ndarray | QuarterLabeling | None:
+    """The first phase source given: --phases, the _doc_labeling result, then
+    the document's phases; None when there is none."""
     if args.phases:
         return np.array(_float_list(args.phases))
     labeling = _doc_labeling(args, doc)
-    if labeling is not None:
-        return labeling.phases()
-    if doc.phases is not None:
+    if labeling is None and doc.phases is not None:
         return np.array(doc.phases)
-    raise ValueError("no phases given (use --phases/--labels or put them in the document)")
+    return labeling
 
 
-def _doc_system(args, doc: GraphDocument) -> OscillatorSystem:
-    coupling = args.coupling
-    if coupling is None:
-        coupling = doc.coupling if doc.coupling is not None else 1.0
-    freqs = None
-    if args.frequencies:
-        freqs = _float_list(args.frequencies)
-    elif doc.frequencies is not None:
-        freqs = doc.frequencies
-    return OscillatorSystem(doc.graph, coupling, freqs)
+def _phases(state) -> np.ndarray:
+    """A _doc_state result as phases; None is the error that none was given."""
+    if state is None:
+        raise ValueError("no phases given (use --phases/--labels or put them in the document)")
+    return state.phases() if isinstance(state, QuarterLabeling) else state
+
+
+def _doc_system(args, doc: GraphDocument) -> OscillatorSystem | None:
+    """Coupling and frequencies from the flags, else the document; None if neither has any."""
+    coupling = doc.coupling if args.coupling is None else args.coupling
+    freqs = _float_list(args.frequencies) if args.frequencies else doc.frequencies
+    if coupling is None and freqs is None:
+        return None
+    return OscillatorSystem(doc.graph, 1.0 if coupling is None else coupling, freqs)
 
 
 def _verdict_dict(verdict) -> dict:
@@ -96,18 +99,12 @@ def _verdict_dict(verdict) -> dict:
 
 def cmd_detect(args) -> str:
     doc = _load_document(args.input)
-    theta = _doc_phases(args, doc)
-    nonidentical = (
-        args.coupling is not None
-        or args.frequencies
-        or doc.coupling is not None
-        or doc.frequencies is not None
-    )
-    if nonidentical:
-        sys_ = _doc_system(args, doc)
-        verdict = is_cde_nonidentical(sys_, theta, tol=args.tol)
-    else:
+    theta = _phases(_doc_state(args, doc))
+    sys_ = _doc_system(args, doc)
+    if sys_ is None:
         verdict = is_cde(doc.graph, theta, tol=args.tol)
+    else:
+        verdict = is_cde_nonidentical(sys_, theta, tol=args.tol)
     return canonical_json(_verdict_dict(verdict))
 
 
@@ -158,15 +155,12 @@ def cmd_construct_nonidentical(args) -> str:
 
 def cmd_simulate(args) -> str:
     doc = _load_document(args.input)
-    sys_ = _doc_system(args, doc)
-    try:
-        theta0 = _doc_phases(args, doc)
-    except ValueError:
-        if args.seed is None:
-            raise
+    sys_ = _doc_system(args, doc) or OscillatorSystem.identical(doc.graph)
+    theta0 = _doc_state(args, doc)
+    if theta0 is None and args.seed is not None:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         theta0 = rng.uniform(0.0, 2.0 * np.pi, doc.graph.vertex_count)
-    trace = integrate(sys_, theta0, dt=args.dt, steps=args.steps)
+    trace = integrate(sys_, _phases(theta0), dt=args.dt, steps=args.steps)
     n = doc.graph.vertex_count
     lines = ["t," + ",".join(f"theta_{k}" for k in range(n)) + ",E"]
     for i in range(trace.times.shape[0]):
@@ -179,8 +173,8 @@ def cmd_simulate(args) -> str:
 
 def cmd_probe(args) -> str:
     doc = _load_document(args.input)
-    sys_ = _doc_system(args, doc)
-    theta = _doc_phases(args, doc)
+    sys_ = _doc_system(args, doc) or OscillatorSystem.identical(doc.graph)
+    theta = _phases(_doc_state(args, doc))
     if args.direction:
         direction = np.array(_float_list(args.direction))
     else:
@@ -222,10 +216,9 @@ def cmd_sweep(args) -> str:
 
 def cmd_render(args) -> str:
     doc = _load_document(args.input)
-    # _doc_phases precedence, but a labeling is drawn by label, not by phase
-    theta = None if args.phases else _doc_labeling(args, doc)
-    if theta is None:
-        theta = _doc_phases(args, doc)
+    state = _doc_state(args, doc)
+    # a labeling is drawn by label, not by phase
+    theta = state if isinstance(state, QuarterLabeling) else _phases(state)
     return render_svg(doc.graph, theta, layout=args.layout, tol=args.tol)
 
 
@@ -304,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[output, budget],
                        help="degeneracy table over a graph family")
-    p.add_argument("--family", required=True, choices=("cycle", "hypercube", "glue-chain"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--params", required=True, help="comma list or start:stop[:step]")
-    p.add_argument("--glue-seed", default="c4", choices=("c4", "c8", "k24"))
+    p.add_argument("--glue-seed", default="c4", choices=tuple(GLUE_SEEDS))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", parents=[io, state], help="SVG of the phase-colored graph")

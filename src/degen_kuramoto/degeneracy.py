@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, _bfs_forest, _odd_cycle, connected_components,
+from .graphs import (Graph, _bfs_forest, _odd_cycle, _odd_vertex, connected_components,
                      contains_triangle, is_bipartite)
 from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap, vector_field
 
@@ -61,7 +61,10 @@ class QuarterLabeling:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(int(l) % 4 for l in self.labels))
-        object.__setattr__(self, "base", float(self.base) % (4.0 * HALF_PI))
+        base = float(self.base)
+        if not math.isfinite(base):
+            raise ValueError("base must be finite")
+        object.__setattr__(self, "base", base % (4.0 * HALF_PI))
 
     def phases(self) -> np.ndarray:
         return phase_vector(self.base + HALF_PI * np.array(self.labels, dtype=float))
@@ -262,7 +265,7 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     if budget_state[1] < 0:
         raise ValueError("budget must be nonnegative")
     forest = orders, _, side, conflict = _bfs_forest(g)
-    if conflict is not None or any(g.degree(v) % 2 for v in range(g.vertex_count)):
+    if conflict is not None or _odd_vertex(g) is not None:
         return forest, None
     halves = []
     for order in orders:
@@ -470,9 +473,9 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
         raise ValueError("budget must be nonnegative")
     if g.edge_count == 0:
         return AdmitsReport(True, "edgeless", edgeless=True)
-    for k in range(g.vertex_count):
-        if g.degree(k) % 2:
-            return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
+    k = _odd_vertex(g)
+    if k is not None:
+        return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
     (_, parent, _, conflict), halves = _side_split(g, budget, 1)
     if conflict is None:
         return AdmitsReport(halves is not None, "enumeration")

@@ -166,6 +166,8 @@ def rarity_experiment(
     )
 
 
+FAMILIES = ("cycle", "hypercube", "glue-chain")
+
 GLUE_SEEDS = {
     "c4": lambda: cycle_graph(4),
     "c8": lambda: cycle_graph(8),
@@ -200,7 +202,7 @@ def _family_graph(family: str, parameter: int, glue_seed: str) -> Graph:
         for _ in range(parameter):
             g = glue_four_cycle(g, 0)
         return g
-    raise ValueError(f"unknown family {family!r}; pick from cycle, hypercube, glue-chain")
+    raise ValueError(f"unknown family {family!r}; pick from {', '.join(FAMILIES)}")
 
 
 def family_sweep(

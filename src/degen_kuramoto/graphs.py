@@ -193,11 +193,16 @@ class EulerianResult:
         return self.is_eulerian
 
 
+def _odd_vertex(g: Graph) -> int | None:
+    """The smallest vertex of odd degree, or None when every degree is even."""
+    return next((k for k, nbrs in enumerate(g._adj) if len(nbrs) % 2), None)
+
+
 def is_eulerian(g: Graph) -> EulerianResult:
     """True iff every degree is even and all edges lie in one component."""
-    for k in range(g.vertex_count):
-        if g.degree(k) % 2:
-            return EulerianResult(False, f"vertex {k} has odd degree {g.degree(k)}", k)
+    k = _odd_vertex(g)
+    if k is not None:
+        return EulerianResult(False, f"vertex {k} has odd degree {g.degree(k)}", k)
     edged = [c for c in connected_components(g) if any(g.degree(v) for v in c)]
     if len(edged) > 1:
         a, b = edged[0][0], edged[1][0]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -163,6 +164,74 @@ def test_simulate_seeded_random_start(capsys, c4_file):
     assert code == code2 == 0 and out1 == out2
     code, _, err = run(capsys, "simulate", "--input", c4_file, "--steps", "5")
     assert code == 1 and "phases" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--phases", "0,abc", "could not convert string to float: 'abc'"),
+    ("--labels", "0,1,x,3", "invalid literal for int() with base 10: 'x'"),
+])
+def test_simulate_seed_does_not_hide_a_malformed_phase_source(capsys, c4_file, flag, value,
+                                                              message):
+    code, out, err = run(capsys, "simulate", "--input", c4_file, flag, value, "--seed", "1",
+                         "--steps", "5")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_seed_yields_to_document_phases(capsys, c4_file, tmp_path):
+    from degen_kuramoto import cycle_graph, emit_json
+
+    path = tmp_path / "c4.json"
+    path.write_text(emit_json(cycle_graph(4), phases=[0.1, 1.6, 3.2, 4.7]))
+    seeded = run(capsys, "simulate", "--input", str(path), "--seed", "1", "--steps", "5")
+    given = run(capsys, "simulate", "--input", c4_file, "--phases", "0.1,1.6,3.2,4.7",
+                "--steps", "5")
+    drawn = run(capsys, "simulate", "--input", c4_file, "--seed", "1", "--steps", "5")
+    assert seeded == given and seeded[0] == 0 and seeded[1] != drawn[1]
+
+
+def test_detect_verdict_matches_the_api_for_each_system_source(capsys, tmp_path):
+    from degen_kuramoto import (OscillatorSystem, QuarterLabeling, canonical_json, cycle_graph,
+                                emit_json, is_cde, is_cde_nonidentical)
+
+    c4 = cycle_graph(4)
+    theta = QuarterLabeling((0, 1, 2, 3)).phases()
+    f, h = [1.0, -1.0, 1.0, -1.0], [0.5, -0.5, 0.5, -0.5]
+    cases = [  # document attachments, flags, (coupling, frequencies) or None if identical
+        ({}, [], None),
+        ({}, ["--coupling", "2"], (2.0, None)),
+        ({}, ["--frequencies=1,-1,1,-1"], (1.0, f)),
+        ({"coupling": 2.0}, [], (2.0, None)),
+        ({"frequencies": f}, [], (1.0, f)),
+        ({"coupling": 2.0, "frequencies": f}, ["--coupling", "3"], (3.0, f)),
+        ({"coupling": 2.0, "frequencies": f}, ["--frequencies=0.5,-0.5,0.5,-0.5"], (2.0, h)),
+    ]
+    outs = set()
+    for i, (attached, flags, system) in enumerate(cases):
+        path = tmp_path / f"c4_{i}.json"
+        path.write_text(emit_json(c4, labels=[0, 1, 2, 3], **attached))
+        code, out, err = run(capsys, "detect", "--input", str(path), *flags)
+        if system is None:
+            verdict = is_cde(c4, theta)
+        else:
+            verdict = is_cde_nonidentical(OscillatorSystem(c4, *system), theta)
+        fields = {k: v for k, v in dataclasses.asdict(verdict).items()
+                  if v is not None and v != ()}
+        assert (code, out, err) == (0, canonical_json(fields), ""), (attached, flags)
+        outs.add(out)
+    assert len(outs) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["circuit", "--circuit", "0,1,2,3,0", "--base", "nan"],
+    ["circuit", "--circuit", "0,1,2,3,0", "--base", "inf"],
+    ["circuit", "--labels", "0,1,2,3", "--base", "nan"],
+    ["detect", "--labels", "0,1,2,3", "--base", "nan"],
+    ["probe", "--labels", "0,1,2,3", "--base=-inf"],
+    ["render", "--labels", "0,1,2,3", "--base", "nan"],
+])
+def test_a_non_finite_base_exits_one(capsys, c4_file, argv):
+    code, out, err = run(capsys, argv[0], "--input", c4_file, *argv[1:])
+    assert (code, out, err) == (1, "", "error: base must be finite\n")
 
 
 def test_probe_escapes_from_cde(capsys, c4_file):

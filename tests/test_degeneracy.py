@@ -53,6 +53,16 @@ def test_quarter_labeling_realization():
     assert np.allclose(shifted.phases(), [0.25, 0.25 + HALF_PI])
 
 
+@pytest.mark.parametrize("base", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_base_is_rejected(base):
+    with pytest.raises(ValueError) as info:
+        QuarterLabeling((0, 1, 2, 3), base)
+    assert str(info.value) == "base must be finite"
+    with pytest.raises(ValueError) as info:
+        circuit_to_phases(cycle_graph(4), EulerCircuit((0, 1, 2, 3, 0)), base)
+    assert str(info.value) == "base must be finite"
+
+
 def test_euler_circuit_requires_closure():
     with pytest.raises(ValueError):
         EulerCircuit((0, 1, 2))

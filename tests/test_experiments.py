@@ -190,6 +190,12 @@ def test_family_sweep_unknown_family():
         family_sweep("glue-chain", [1], glue_seed="c6")
 
 
+def test_unknown_family_error_lists_every_family():
+    with pytest.raises(ValueError) as info:
+        family_sweep("bogus", [4])
+    assert str(info.value) == "unknown family 'bogus'; pick from cycle, hypercube, glue-chain"
+
+
 def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         rarity_experiment(6, 0.5, 3, seed=0, budget=-1)

@@ -120,6 +120,20 @@ def test_is_eulerian():
     two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     res = is_eulerian(two_triangles)
     assert not res and "components" in res.reason
+    # seeded G(n, p): the reported vertex is the smallest one of odd degree
+    smallest = set()
+    for seed in range(200):
+        g = erdos_renyi(2 + seed % 11, (0.2, 0.4, 0.6, 0.8)[seed % 4], seed)
+        odd = [k for k in range(g.vertex_count) if g.degree(k) % 2]
+        res = is_eulerian(g)
+        if odd:
+            k = odd[0]
+            assert not res and res.odd_degree_vertex == k
+            assert res.reason == f"vertex {k} has odd degree {g.degree(k)}"
+            smallest.add(k)
+        else:
+            assert res.odd_degree_vertex is None
+    assert max(smallest) >= 3
 
 
 def test_contains_triangle():

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -71,6 +73,15 @@ class QuarterLabeling:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def _zero_based(labels: tuple[int, ...]) -> QuarterLabeling:
+    """QuarterLabeling(labels) for labels already in 0..3, without re-normalizing."""
+    q = object.__new__(QuarterLabeling)
+    # attribute stores, not q.__dict__: that would give each instance its own dict
+    object.__setattr__(q, "labels", labels)
+    object.__setattr__(q, "base", 0.0)
+    return q
 
 
 @dataclass(frozen=True)
@@ -229,26 +240,32 @@ def _exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
     than half its degree in ones or in zeros. With `pin_first` the first
     vertex only takes s = 0. Returns tuples aligned with `side`.
     """
-    room = {u: [g.degree(u) // 2] * 2 for v in side for u in g.neighbors(v)}
+    nbrs = [g._adj[v] for v in side]
+    half = {u: len(g._adj[u]) // 2 for vn in nbrs for u in vn}
+    rooms = (half, dict(half))  # how many more neighbors each u may have at s = 0, 1
     chosen = []
 
     def search(i):
         if i == len(side):
             yield tuple(chosen)
             return
-        nbrs = g.neighbors(side[i])
+        vn = nbrs[i]
         for s in (0,) if i == 0 and pin_first else (0, 1):
             budget_state[0] += 1
             if budget_state[0] > budget_state[1]:
                 raise BudgetExceededError(budget_state[1])
-            for u in nbrs:
-                room[u][s] -= 1
-            if all(room[u][s] >= 0 for u in nbrs):
+            room = rooms[s]
+            fits = True
+            for u in vn:
+                room[u] = left = room[u] - 1
+                if left < 0:
+                    fits = False
+            if fits:
                 chosen.append(s)
                 yield from search(i + 1)
                 chosen.pop()
-            for u in nbrs:
-                room[u][s] += 1
+            for u in vn:
+                room[u] += 1
 
     return list(itertools.islice(search(0), limit))
 
@@ -264,6 +281,11 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     budget_state = [0, int(budget)]
     if budget_state[1] < 0:
         raise ValueError("budget must be nonnegative")
+    if limit is not None:
+        limit = operator.index(limit)
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
+        limit = min(limit, sys.maxsize)  # islice's ceiling; no side has more solutions
     forest = orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None or _odd_vertex(g) is not None:
         return forest, None
@@ -297,20 +319,29 @@ def enumerate_cdes(
     Isolated vertices get label 0. Raises BudgetExceededError when the
     searches together visit more than `budget` nodes; an empty list means
     no CDE exists. An odd degree or an odd cycle anywhere returns the empty
-    list before any search.
+    list before any search. With a `limit`, each side keeps its first
+    `limit` solutions and the first `limit` combinations are sorted.
     """
     _, halves = _side_split(g, budget, limit)
     if halves is None:
         return []
+    k = math.prod(len(sols) for _, _, sols in halves)
+    if limit is not None:
+        k = min(k, operator.index(limit))
+    # row r is combo r of itertools.product over the halves: the last half
+    # varies fastest, so half h takes solution (r // stride) % len(sols)
+    labels = np.zeros((k, g.vertex_count), dtype=np.int8)
+    rows = np.arange(k)
+    stride = 1
+    for bit, verts, sols in reversed(halves):
+        pick = 0 if stride >= k else rows // stride % len(sols)
+        labels[:, verts] = bit + 2 * np.array(sols, dtype=np.int8)[pick]
+        stride *= len(sols)
+    if g.vertex_count:  # np.lexsort needs at least one key
+        labels = labels[np.lexsort(labels.T[::-1])]  # tuple order: column 0 first
     results = []
-    combos = itertools.product(*(sols for _, _, sols in halves))
-    for combo in itertools.islice(combos, limit):
-        labels = [0] * g.vertex_count
-        for (bit, verts, _), sol in zip(halves, combo):
-            for v, s in zip(verts, sol):
-                labels[v] = bit + 2 * s
-        results.append(QuarterLabeling(tuple(labels), 0.0))
-    results.sort(key=lambda q: q.labels)
+    for start in range(0, k, 1024):  # in chunks, so the row lists stay small beside the tuples
+        results += map(_zero_based, map(tuple, labels[start : start + 1024].tolist()))
     return results
 
 

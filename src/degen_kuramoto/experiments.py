@@ -125,8 +125,9 @@ def rarity_experiment(
     # all False between samples; n < 0 is left for _gnp_pairs to reject
     adj = np.zeros((max(n, 0),) * 2, dtype=bool)
     keys = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64)
+    philox = np.random.Philox()  # re-keyed for each sample
     for i, key in enumerate(keys.tolist()):
-        u, v = _gnp_pairs(n, p, key)
+        u, v = _gnp_pairs(n, p, key, philox)
         if budget < 0:  # n and p are checked first, as when admits_cde saw every sample
             raise ValueError("budget must be nonnegative")
         triangle = u.size > 2 and _closes_triangle(adj, u, v)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,18 @@ def test_enumerate_c4(capsys, c4_file):
         {"base": 0.0, "labels": [0, 1, 2, 3]},
         {"base": 0.0, "labels": [0, 3, 2, 1]},
     ]
+
+
+def test_enumerate_q6_prints_the_pinned_bytes(capsys, tmp_path):
+    # the digest of the 9,800-labeling document as the per-combo listing printed it
+    q6 = [(v, v ^ (1 << i)) for v in range(64) for i in range(6) if v < v ^ (1 << i)]
+    path = tmp_path / "q6.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in q6))
+    code, out, _ = run(capsys, "enumerate", "--input", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86cb9912720b603a769e3638cc7d49aaf5091b661f9fe256c3f62af2f2022213"
+    )
 
 
 def test_enumerate_reports_no_cde_when_a_later_component_is_an_odd_cycle(capsys, tmp_path):

@@ -291,6 +291,49 @@ def test_q6_search_cost_is_pinned():
             enumerate_cdes(g, budget=11_930)
 
 
+def test_listing_a_2_pow_70_product_matches_the_reference_at_each_limit():
+    # 70 disjoint C4s: each has one pinned-side and two other-side solutions,
+    # so the product has 2**70 rows and only the first `limit` are ever built
+    g = Graph(280, [(4 * c + i, 4 * c + (i + 1) % 4) for c in range(70) for i in range(4)])
+    for limit in (0, 1, 3, 50):
+        got = enumerate_cdes(g, limit=limit)
+        assert len(got) == limit
+        assert got == reference_enumerate_cdes(g, limit=limit)
+
+
+def test_a_limit_beyond_the_product_lists_it_all_in_order():
+    q4 = hypercube_graph(4)
+    whole = enumerate_cdes(q4)
+    assert [q.labels for q in whole] == sorted(q.labels for q in whole)
+    assert whole == reference_enumerate_cdes(q4)
+    for limit in (len(whole), len(whole) + 1, 10**6, 2**80):
+        assert enumerate_cdes(q4, limit=limit) == whole
+    assert enumerate_cdes(Graph(0)) == [QuarterLabeling(())]
+    assert enumerate_cdes(Graph(0), limit=0) == []
+
+
+def test_listed_labelings_are_plain_ints_with_base_zero():
+    for g in (hypercube_graph(4), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), Graph(3)):
+        listed = enumerate_cdes(g)
+        assert listed
+        for q in listed:
+            assert all(type(l) is int for l in q.labels)
+            assert type(q.labels) is tuple and type(q.base) is float and q.base == 0.0
+            fresh = QuarterLabeling(q.labels)
+            assert q == fresh and hash(q) == hash(fresh)
+
+
+def test_limit_is_checked_on_every_graph():
+    for g in (cycle_graph(4), Graph(3), cycle_graph(5)):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            enumerate_cdes(g, limit=-1)
+        with pytest.raises(TypeError):
+            enumerate_cdes(g, limit=2.5)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        enumerate_cdes(cycle_graph(4), budget=-1, limit=-1)
+    assert len(enumerate_cdes(hypercube_graph(4), limit=np.int64(3))) == 3
+
+
 def test_negative_tolerance_and_budget_are_rejected():
     c4 = cycle_graph(4)
     theta = QuarterLabeling((0, 1, 2, 3)).phases()

@@ -95,6 +95,19 @@ def test_rarity_errors_keep_their_precedence():
         rarity_experiment(2, 0.5, 3, seed=1, budget=-1)  # no sample reaches admits_cde
 
 
+def test_rarity_keys_one_philox_per_call(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    rarity_experiment(12, 0.5, 200, seed=3)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("n, p, samples", [(40, 0.1, 600), (6, 0.4, 1000)])
 def test_rarity_builds_a_graph_only_for_filter_survivors(monkeypatch, n, p, samples):
     built, searched = [], []

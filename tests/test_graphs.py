@@ -14,6 +14,7 @@ from degen_kuramoto import (
     is_bipartite,
     is_eulerian,
 )
+from degen_kuramoto import graphs
 from helpers import reference_connected_components, reference_erdos_renyi, reference_is_bipartite
 
 
@@ -206,6 +207,26 @@ def test_erdos_renyi_matches_the_pair_list_reference():
                     nbrs[v].append(u)
                 for k in range(n):
                     assert g.neighbors(k) == tuple(sorted(nbrs[k])), (n, p, seed, k)
+
+
+def test_a_rekeyed_philox_draws_like_a_fresh_one():
+    philox = np.random.Philox(key=7)
+    np.random.Generator(philox).random(5)  # leave a counter and a part-used buffer behind
+    for key in (0, 1, 2**63 + 5, 2**64 - 1):
+        for n, p in ((12, 0.5), (40, 0.1)):
+            got = graphs._gnp_pairs(n, p, key, philox)
+            want = graphs._gnp_pairs(n, p, key)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (key, n, p)
+
+
+def test_erdos_renyi_checks_n_and_p_before_the_seed():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        erdos_renyi(-1, 0.5, -1)
+    with pytest.raises(ValueError, match="p must lie"):
+        erdos_renyi(5, 2.0, -1)
+    with pytest.raises(ValueError):
+        erdos_renyi(5, 0.5, -1)
+    assert erdos_renyi(5, 0.5, 2**64).vertex_count == 5  # a new Philox takes keys below 2**128
 
 
 def test_erdos_renyi_edge_count_concentration():

@@ -17,10 +17,8 @@ independent exact-half searches over s.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -232,42 +230,50 @@ def is_cde_nonidentical(
     )
 
 
-def _exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
+def _exact_half_assignments(g: Graph, side, pin_first, used, budget, limit):
     """0/1 values s for one side of a component, listed in `side` order.
 
     Every neighbor (all on the other side) must end with exactly half its
     degree at s = 1, so a branch is cut as soon as some neighbor has more
     than half its degree in ones or in zeros. With `pin_first` the first
-    vertex only takes s = 0. Returns tuples aligned with `side`.
+    vertex only takes s = 0. Each value tried is one node added to `used`,
+    which may not pass `budget`; no node runs after the `limit`-th solution.
+    Returns (tuples aligned with `side`, used). `side` must not be empty.
     """
     nbrs = [g._adj[v] for v in side]
     half = {u: len(g._adj[u]) // 2 for vn in nbrs for u in vn}
     rooms = (half, dict(half))  # how many more neighbors each u may have at s = 0, 1
-    chosen = []
-
-    def search(i):
-        if i == len(side):
-            yield tuple(chosen)
-            return
-        vn = nbrs[i]
-        for s in (0,) if i == 0 and pin_first else (0, 1):
-            budget_state[0] += 1
-            if budget_state[0] > budget_state[1]:
-                raise BudgetExceededError(budget_state[1])
-            room = rooms[s]
+    last = len(side) - 1
+    sols, chosen, s = [], [], 0  # chosen: the s values of side[:i]; s: next to try at side[i]
+    while limit != 0:
+        i = len(chosen)
+        if s > 1 or s and pin_first and not i:  # side[i] is done: undo side[i - 1]'s value
+            if not i:
+                break
+            s = chosen.pop()
+            room, vn = rooms[s], nbrs[i - 1]
+        else:
+            used += 1
+            if used > budget:
+                raise BudgetExceededError(budget)
+            room, vn = rooms[s], nbrs[i]
             fits = True
             for u in vn:
                 room[u] = left = room[u] - 1
                 if left < 0:
                     fits = False
-            if fits:
+            if fits and i < last:
                 chosen.append(s)
-                yield from search(i + 1)
-                chosen.pop()
-            for u in vn:
-                room[u] += 1
-
-    return list(itertools.islice(search(0), limit))
+                s = 0
+                continue
+            if fits:
+                sols.append((*chosen, s))
+                if len(sols) == limit:
+                    break
+        for u in vn:
+            room[u] += 1
+        s += 1
+    return sols, used
 
 
 def _side_split(g: Graph, budget: int, limit: int | None):
@@ -278,24 +284,23 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     or is None when an odd degree, a same-side edge or a side without
     solutions rules out every CDE. Budget errors as in enumerate_cdes.
     """
-    budget_state = [0, int(budget)]
-    if budget_state[1] < 0:
+    budget = int(budget)
+    if budget < 0:
         raise ValueError("budget must be nonnegative")
     if limit is not None:
         limit = operator.index(limit)
         if limit < 0:
             raise ValueError("limit must be nonnegative")
-        limit = min(limit, sys.maxsize)  # islice's ceiling; no side has more solutions
     forest = orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None or _odd_vertex(g) is not None:
         return forest, None
-    halves = []
+    halves, used = [], 0
     for order in orders:
         if len(order) == 1:
             continue
         for bit in (0, 1):
             verts = [v for v in order if side[v] == bit]
-            sols = _exact_half_assignments(g, verts, bit == 0, budget_state, limit)
+            sols, used = _exact_half_assignments(g, verts, bit == 0, used, budget, limit)
             if not sols:
                 return forest, None
             halves.append((bit, verts, sols))

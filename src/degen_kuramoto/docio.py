@@ -58,7 +58,7 @@ def _edge_list_document(text: str) -> GraphDocument:
         pairs.append((u, v))
     distinct = {t for pair in pairs for t in pair}
     if all(t.isdigit() for t in distinct):
-        names = tuple(sorted(distinct, key=int))
+        names = tuple(sorted(distinct, key=lambda t: (int(t), t)))
     else:
         names = tuple(sorted(distinct))
     index = {name: i for i, name in enumerate(names)}
@@ -68,8 +68,8 @@ def _edge_list_document(text: str) -> GraphDocument:
 def parse_edge_list(text: str) -> Graph:
     """Graph from "u v" lines; '#' starts a comment, duplicates collapse.
 
-    Vertex tokens are sorted (numerically when all are nonnegative
-    integers, else lexicographically) and mapped to dense ids.
+    Vertex tokens are sorted by (value, token) when all are nonnegative
+    integers, so '01' < '1' < '2', else as strings, and mapped to dense ids.
     """
     return _edge_list_document(text).graph
 

@@ -22,7 +22,7 @@ from .degeneracy import (
     is_cde_nonidentical,
 )
 from .graphs import Graph
-from .oscillator import OscillatorSystem, TWO_PI, _field, circular_distance, energy, phase_vector
+from .oscillator import OscillatorSystem, _field, _wrap, circular_distance, energy, phase_vector
 
 __all__ = [
     "SimulationTrace",
@@ -83,13 +83,11 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     if not math.isfinite(float(dt) * steps):
         raise ValueError("dt * steps must be finite")
     times = dt * np.arange(steps + 1)
-    states = np.mod(lift, TWO_PI)
-    states[states >= TWO_PI] = 0.0
     d = lift[:, sys._edge_v] - lift[:, sys._edge_u]
     energies = sys.coupling * np.sum(1.0 - np.cos(d), axis=1)
     if sys.frequencies.any():
         energies -= lift @ sys.frequencies
-    return SimulationTrace(times, states, energies)
+    return SimulationTrace(times, _wrap(lift), energies)
 
 
 def edge_pair_perturbation(g: Graph, q: QuarterLabeling, c: EulerCircuit, x: float) -> np.ndarray:

@@ -39,9 +39,10 @@ BUCKETS = (
 _Z95 = 1.959963984540054
 
 
-def _wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         return (0.0, 1.0)
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom

@@ -51,9 +51,12 @@ def phase_vector(values, vertex_count: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {vertex_count} phases, got {theta.shape[0]}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("phases must be finite")
+    return _wrap(theta)
+
+
+def _wrap(theta: np.ndarray) -> np.ndarray:
     out = np.mod(theta, TWO_PI)
-    # mod can round up to exactly 2pi for tiny negative inputs
-    out[out >= TWO_PI] = 0.0
+    out[out >= TWO_PI] = 0.0  # mod can round up to exactly 2pi for tiny negative inputs
     return out
 
 

@@ -308,6 +308,14 @@ def test_sweep_csv(capsys):
     assert admits == {4, 8}
 
 
+def test_sweep_over_long_cycles(capsys):
+    # each side of C_2000 has 1,000 vertices, past the default recursion limit
+    code, out, err = run(capsys, "sweep", "--family", "cycle", "--params", "1996:2005:4")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[1], r[6]) for r in rows] == [("1996", "2"), ("2000", "2"), ("2004", "2")]
+
+
 def test_render_svg_output(capsys, c4_file, tmp_path):
     out_file = tmp_path / "c4.svg"
     code, _, _ = run(capsys, "render", "--input", c4_file, "--labels", "0,1,2,3",
@@ -551,3 +559,20 @@ def test_python_dash_m_runs_the_console_script(c4_file):
                              *argv], capture_output=True, text=True, env=env)
     assert (module.returncode, module.stderr) == (0, "")
     assert module.stdout == script.stdout and '"cde_count":2' in module.stdout
+
+
+def test_edge_list_ids_do_not_depend_on_the_hash_seed(tmp_path):
+    # '01' and '1' are the same integer; they must tie-break the same way in every process
+    path = tmp_path / "tie.edges"
+    path.write_text("01 2\n2 1\n1 3\n3 01\n")
+    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "degen_kuramoto", "enumerate", "--input",
+                               str(path)], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["vertices"] == ["01", "1", "2", "3"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from degen_kuramoto import (
+    AdmitsReport,
     BudgetExceededError,
     CircuitLabelConflictError,
     EulerCircuit,
@@ -289,6 +290,21 @@ def test_q6_search_cost_is_pinned():
         assert len(enumerate_cdes(g, budget=11_931)) == 9800
         with pytest.raises(BudgetExceededError):
             enumerate_cdes(g, budget=11_930)
+
+
+def test_a_side_deeper_than_the_recursion_limit_is_searched():
+    # C4000's sides have 2,000 vertices each and Q12's 2,048; the search
+    # keeps its path in a list, so depth is not bounded by the call stack
+    c = cycle_graph(4000)
+    assert [q.labels for q in enumerate_cdes(c)] == [
+        tuple(k % 4 for k in range(4000)), tuple(-k % 4 for k in range(4000))]
+    assert len(enumerate_cdes(c, budget=11_997)) == 2
+    with pytest.raises(BudgetExceededError):
+        enumerate_cdes(c, budget=11_996)
+    q12 = hypercube_graph(12)
+    assert admits_cde(q12, budget=6_144) == AdmitsReport(True, "enumeration")
+    with pytest.raises(BudgetExceededError):
+        admits_cde(q12, budget=6_143)
 
 
 def test_listing_a_2_pow_70_product_matches_the_reference_at_each_limit():

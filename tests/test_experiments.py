@@ -152,6 +152,11 @@ def test_family_sweep_cycles():
             assert r.cde_count == 0 and r.circuit_length is None
 
 
+def test_family_sweep_counts_a_cycle_deeper_than_the_recursion_limit():
+    (row,) = family_sweep("cycle", [4000])
+    assert (row.admits, row.cde_count, row.circuit_length) == (True, 2, 4000)
+
+
 def test_family_sweep_hypercubes():
     rows = family_sweep("hypercube", range(1, 5))
     by_param = {r.parameter: r for r in rows}

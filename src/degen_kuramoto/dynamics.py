@@ -22,7 +22,7 @@ from .degeneracy import (
     is_cde_nonidentical,
 )
 from .graphs import Graph
-from .oscillator import OscillatorSystem, _field, _wrap, circular_distance, energy, phase_vector
+from .oscillator import OscillatorSystem, _field_fn, _wrap, circular_distance, energy, phase_vector
 
 __all__ = [
     "SimulationTrace",
@@ -53,12 +53,24 @@ class SimulationTrace:
     energies: np.ndarray
 
 
-def _rk4_step(sys: OscillatorSystem, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _field(sys, y)
-    k2 = _field(sys, y + (0.5 * dt) * k1)
-    k3 = _field(sys, y + (0.5 * dt) * k2)
-    k4 = _field(sys, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4(sys: OscillatorSystem, dt: float):
+    """One classical RK4 step of the flow as a function of the state.
+
+    The constants are 0-d arrays of the textbook step's own expressions, so
+    the arithmetic is the same bit for bit, minus a conversion per operation.
+    """
+    field = _field_fn(sys)
+    half, full, sixth = (np.array(c, dtype=float) for c in (0.5 * dt, dt, dt / 6.0))
+    two = np.array(2.0)
+
+    def step(y):
+        k1 = field(y)
+        k2 = field(y + half * k1)
+        k3 = field(y + half * k2)
+        k4 = field(y + full * k3)
+        return y + sixth * (k1 + two * (k2 + k3) + k4)
+
+    return step
 
 
 def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
@@ -74,9 +86,10 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     y = phase_vector(theta0, sys.graph.vertex_count)
     lift = np.empty((steps + 1, y.shape[0]))
     lift[0] = y
+    step = _rk4(sys, dt)
     for i in range(1, steps + 1):
-        y = _rk4_step(sys, y, dt)
-        if not np.all(np.isfinite(y)):
+        y = step(y)
+        if not np.isfinite(y).all():
             raise NonFiniteStateError(i)
         lift[i] = y
     # checked after the loop, so a state that blows up first reports its step
@@ -164,7 +177,10 @@ def instability_probe(
     direction = np.asarray(direction, dtype=float)
     if direction.shape != theta.shape:
         raise ValueError("direction must match the state shape")
-    residual = float(np.max(np.abs(_field(sys, theta))))
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction must be finite")
+    field = _field_fn(sys)
+    residual = float(np.max(np.abs(field(theta))))
     if residual >= 1.0e-10:
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")
     if not abs(x0) < epsilon / 4.0:
@@ -174,10 +190,14 @@ def instability_probe(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     y = theta + x0 * direction
+    rk4 = _rk4(sys, dt)
     max_distance = 0.0
     for step in range(1, max_steps + 1):
-        y = _rk4_step(sys, y, dt)
-        dist = float(np.max(circular_distance(y, theta)))
+        y = rk4(y)
+        # equals the torus distance while it is at most pi
+        dist = float(np.maximum.reduce(abs(y - theta)))
+        if dist > math.pi:
+            dist = float(np.max(circular_distance(y, theta)))
         if dist > max_distance:
             max_distance = dist
         if not dist <= epsilon:  # escaped, or NaN from a non-finite state
@@ -185,7 +205,7 @@ def instability_probe(
                 raise NonFiniteStateError(step)
             return EscapeReport(True, step * dt, max_distance, step)
         if step % 256 == 0:
-            if float(np.max(np.abs(_field(sys, y)))) < 1.0e-13:
+            if float(np.max(np.abs(field(y)))) < 1.0e-13:
                 return EscapeReport(False, None, max_distance, step, converged=True)
     return EscapeReport(False, None, max_distance, max_steps)
 
@@ -202,6 +222,8 @@ def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e
     """Sign s in {+1, -1} for which theta + s * probe * direction lowers the energy."""
     theta = np.asarray(theta, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != theta.shape:
+        raise ValueError("direction must match the state shape")
     e_plus = energy(sys, theta + probe * direction)
     e_minus = energy(sys, theta - probe * direction)
     return 1.0 if e_plus <= e_minus else -1.0

@@ -133,19 +133,30 @@ def _check_state(sys: OscillatorSystem, theta) -> np.ndarray:
     return theta
 
 
-def _field(sys: OscillatorSystem, theta: np.ndarray) -> np.ndarray:
-    """Unchecked vector field; hot path shared with the integrator."""
-    n = theta.shape[0]
-    s = np.sin(theta[sys._edge_v] - theta[sys._edge_u])
-    return sys.frequencies + sys.coupling * (
-        np.bincount(sys._edge_u, weights=s, minlength=n)
-        - np.bincount(sys._edge_v, weights=s, minlength=n)
-    )
+def _field_fn(sys: OscillatorSystem):
+    """The unchecked vector field of sys as a function of the state.
+
+    The hot path shared with the integrator; built per call, not stored, so
+    systems still pickle. On an identical system the coupling sum is the
+    field bit for bit: a difference of two bincount sums is never -0.0, so
+    0 + 1 * x would change no bit of it.
+    """
+    u, v, n = sys._edge_u, sys._edge_v, sys.graph.vertex_count
+    sin, bincount = np.sin, np.bincount
+
+    def coupling_sum(theta):
+        s = sin(theta[v] - theta[u])
+        return bincount(u, s, n) - bincount(v, s, n)
+
+    if sys.is_identical:
+        return coupling_sum
+    omega, coupling = sys.frequencies, np.array(sys.coupling)
+    return lambda theta: omega + coupling * coupling_sum(theta)
 
 
 def vector_field(sys: OscillatorSystem, theta) -> np.ndarray:
     """F(theta)_k = omega_k + K * sum_j a_jk sin(theta_j - theta_k)."""
-    return _field(sys, _check_state(sys, theta))
+    return _field_fn(sys)(_check_state(sys, theta))
 
 
 def jacobian(sys: OscillatorSystem, theta) -> np.ndarray:
@@ -181,7 +192,7 @@ def gradient_consistency(sys: OscillatorSystem, theta, h: float = 1.0e-5) -> flo
     if not h > 0:
         raise ValueError("h must be positive")
     theta = _check_state(sys, theta).copy()
-    f = _field(sys, theta)
+    f = _field_fn(sys)(theta)
     worst = 0.0
     for k in range(theta.shape[0]):
         saved = theta[k]

@@ -11,14 +11,22 @@ import numpy as np
 from degen_kuramoto import (
     AdmitsReport,
     BudgetExceededError,
+    EscapeReport,
     Graph,
+    NonFiniteStateError,
+    OscillatorSystem,
     QuarterLabeling,
     RarityReport,
+    SimulationTrace,
     admits_cde,
+    circular_distance,
     erdos_renyi,
+    is_cde_nonidentical,
+    phase_vector,
 )
 from degen_kuramoto.experiments import BUCKETS, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
+from degen_kuramoto.oscillator import _wrap
 
 
 def brute_force_cdes(g: Graph) -> list[tuple[int, ...]]:
@@ -368,3 +376,107 @@ def symmetric_3x3_eigs(a) -> list[float]:
     eig3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     eig2 = 3.0 * q - eig1 - eig3
     return sorted([eig1, eig2, eig3])
+
+
+def _reference_field(sys: OscillatorSystem, theta: np.ndarray) -> np.ndarray:
+    n = theta.shape[0]
+    s = np.sin(theta[sys._edge_v] - theta[sys._edge_u])
+    return sys.frequencies + sys.coupling * (
+        np.bincount(sys._edge_u, weights=s, minlength=n)
+        - np.bincount(sys._edge_v, weights=s, minlength=n)
+    )
+
+
+def _reference_rk4_step(sys: OscillatorSystem, y: np.ndarray, dt: float) -> np.ndarray:
+    k1 = _reference_field(sys, y)
+    k2 = _reference_field(sys, y + (0.5 * dt) * k1)
+    k3 = _reference_field(sys, y + (0.5 * dt) * k2)
+    k4 = _reference_field(sys, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def reference_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
+    """`integrate` as it ran with the plain per-step RK4 and the full field
+    formula: the same loop, checks and energies, for valid arguments."""
+    y = phase_vector(theta0, sys.graph.vertex_count)
+    lift = np.empty((steps + 1, y.shape[0]))
+    lift[0] = y
+    for i in range(1, steps + 1):
+        y = _reference_rk4_step(sys, y, dt)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteStateError(i)
+        lift[i] = y
+    times = dt * np.arange(steps + 1)
+    d = lift[:, sys._edge_v] - lift[:, sys._edge_u]
+    energies = sys.coupling * np.sum(1.0 - np.cos(d), axis=1)
+    if sys.frequencies.any():
+        energies -= lift @ sys.frequencies
+    return SimulationTrace(times, _wrap(lift), energies)
+
+
+def reference_instability_probe(
+    sys: OscillatorSystem, theta, direction, x0: float, epsilon: float = 0.5,
+    dt: float = 1.0e-3, max_steps: int = 1_000_000,
+) -> EscapeReport:
+    """`instability_probe`'s loop as it ran with the plain per-step RK4 and
+    the torus distance on every step; arguments must already be valid."""
+    theta = phase_vector(theta, sys.graph.vertex_count)
+    y = theta + x0 * np.asarray(direction, dtype=float)
+    max_distance = 0.0
+    for step in range(1, max_steps + 1):
+        y = _reference_rk4_step(sys, y, dt)
+        dist = float(np.max(circular_distance(y, theta)))
+        if dist > max_distance:
+            max_distance = dist
+        if not dist <= epsilon:
+            if dist != dist:
+                raise NonFiniteStateError(step)
+            return EscapeReport(True, step * dt, max_distance, step)
+        if step % 256 == 0:
+            if float(np.max(np.abs(_reference_field(sys, y)))) < 1.0e-13:
+                return EscapeReport(False, None, max_distance, step, converged=True)
+    return EscapeReport(False, None, max_distance, max_steps)
+
+
+def normal_form_blowup_time(sys: OscillatorSystem, theta, direction, eta: float = 1.0e-2) -> float:
+    """Blow-up time tau* of the quadratic normal form of the flow at a CDE.
+
+    At a completely degenerate equilibrium every edge has cos(gap) = 0, so
+    with sigma_jk = sin(theta_j - theta_k) = +-1 the field at theta + delta is
+    exactly K sum_j a_jk sigma_jk (cos(delta_j - delta_k) - 1). Its leading
+    term Q(delta) = -(K / 2) sum_j a_jk sigma_jk (delta_j - delta_k)^2 is
+    homogeneous of degree 2, so the probe from theta + x0 * direction follows
+    x0 * u(x0 t) with u' = Q(u), u(0) = direction, and leaves an
+    epsilon-ball at T(x0) = tau* / x0 - c + o(1). tau* is found by RK4 on
+    u' = Q(u) with step eta / max|u|, stopped at max|u| = 1e9 (the time
+    left to the blow-up from there is of order 1e-9). sigma is read from the
+    phases themselves; a theta that is not a CDE of sys is rejected.
+    """
+    verdict = is_cde_nonidentical(sys, theta)
+    if not verdict:
+        raise ValueError(f"not a completely degenerate equilibrium: {verdict.reason}")
+    theta = phase_vector(theta, sys.graph.vertex_count)
+    u_idx, v_idx, n = sys._edge_u, sys._edge_v, sys.graph.vertex_count
+    sigma = np.rint(np.sin(theta[v_idx] - theta[u_idx]))  # sigma for the pair (j, k) = (v, u)
+
+    def q(x):
+        # edge (u, v) adds sigma (x_v - x_u)^2 at u, and -sigma (x_u - x_v)^2 at v
+        w = sigma * (x[v_idx] - x[u_idx]) ** 2
+        return -0.5 * sys.coupling * (np.bincount(u_idx, w, n) - np.bincount(v_idx, w, n))
+
+    u = np.array(direction, dtype=float)
+    t = 0.0
+    while t < 1.0e3:  # far past the blow-up time of any unit direction at K of order 1
+        size = float(np.max(np.abs(u)))
+        if size >= 1.0e9:
+            return t
+        if not size > 0:
+            raise ValueError("direction must be nonzero")
+        h = eta / size
+        k1 = q(u)
+        k2 = q(u + 0.5 * h * k1)
+        k3 = q(u + 0.5 * h * k2)
+        k4 = q(u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t += h
+    raise ValueError("the normal form does not blow up from this direction")

@@ -273,6 +273,13 @@ def test_simulate_non_finite_state_exits_one(capsys, c4_file):
     assert err == "error: non-finite state at step 1\n"
 
 
+@pytest.mark.parametrize("direction", ["nan,0,0,0", "inf,-1,0,0"])
+def test_probe_non_finite_direction_exits_one(capsys, c4_file, direction):
+    code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",
+                         f"--direction={direction}")
+    assert (code, out, err) == (1, "", "error: direction must be finite\n")
+
+
 def test_probe_on_a_graph_with_no_vertices_exits_one(capsys, tmp_path):
     path = tmp_path / "empty.edges"
     path.write_text("")

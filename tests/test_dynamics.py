@@ -20,13 +20,21 @@ from degen_kuramoto import (
     energy_gap_identical,
     enumerate_cdes,
     glue_four_cycle,
+    hypercube_graph,
     instability_probe,
     integrate,
     phases_to_circuit,
     vector_field,
     vertex_perturbation_gap,
 )
-from helpers import random_connected_graph
+from helpers import (
+    normal_form_blowup_time,
+    random_bipartite_graph,
+    random_connected_graph,
+    random_even_bipartite_graph,
+    reference_instability_probe,
+    reference_integrate,
+)
 
 HALF_PI = np.pi / 2
 
@@ -243,8 +251,13 @@ def test_instability_probe_raises_on_a_non_finite_state():
                               max_steps=5)
         assert info.value.step == 1
         with pytest.raises(NonFiniteStateError) as info:
-            integrate(sys_, theta + 0.2 * direction, dt=1.7e308, steps=5)
+            reference_instability_probe(sys_, theta, direction, x0=0.2, epsilon=1.0,
+                                        dt=1.7e308, max_steps=5)
         assert info.value.step == 1
+        for run in (integrate, reference_integrate):
+            with pytest.raises(NonFiniteStateError) as info:
+                run(sys_, theta + 0.2 * direction, dt=1.7e308, steps=5)
+            assert info.value.step == 1
 
 
 def test_descending_sign_picks_the_energy_drop():
@@ -256,3 +269,181 @@ def test_descending_sign_picks_the_energy_drop():
     d = edge_pair_direction(g, c)
     s = descending_sign(sys_, theta, d, probe=1e-2)
     assert energy(sys_, theta + s * 1e-2 * d) < energy(sys_, theta)
+
+
+@pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0, 0.0], [np.inf, -1.0, 0.0, 0.0]])
+def test_instability_probe_rejects_a_non_finite_direction(direction):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    with pytest.raises(ValueError, match="^direction must be finite$"):
+        instability_probe(sys_, theta, direction, x0=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(1,), (4, 1), (5,)])
+def test_descending_sign_rejects_a_direction_of_another_shape(shape):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    with pytest.raises(ValueError, match="^direction must match the state shape$"):
+        descending_sign(sys_, theta, np.ones(shape))
+
+
+# --- the shared RK4 kernel against the plain per-step loops it replaced ---
+
+
+def cde_probe_start(g, x0):
+    """Identical system, first CDE and its descending edge-pair direction."""
+    sys_ = OscillatorSystem.identical(g)
+    q = enumerate_cdes(g)[0]
+    theta = q.phases()
+    direction = edge_pair_direction(g, phases_to_circuit(g, q))
+    direction *= descending_sign(sys_, theta, direction, probe=x0)
+    return sys_, theta, direction
+
+
+def k24_vertex_start(sign=1.0):
+    """The K2,4 construction at K = 2 and the descending unit direction at
+    vertex 0, or its opposite for sign = -1."""
+    g = complete_bipartite_graph(2, 4)
+    built = construct_nonidentical_cde(g, 2.0)
+    sys_ = OscillatorSystem(g, 2.0, built.frequencies)
+    unit = np.zeros(6)
+    unit[0] = 1.0
+    unit *= sign * descending_sign(sys_, built.phases, unit, probe=2e-2)
+    return sys_, built.phases, unit
+
+
+def same_probe(sys_, theta, direction, **kwargs):
+    report = instability_probe(sys_, theta, direction, **kwargs)
+    assert report == reference_instability_probe(sys_, theta, direction, **kwargs)
+    return report
+
+
+def same_trace(sys_, theta0, dt, steps):
+    got = integrate(sys_, theta0, dt, steps)
+    want = reference_integrate(sys_, theta0, dt, steps)
+    for name in ("times", "states", "energies"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+GRAPHS = {"c4": lambda: cycle_graph(4), "c8": lambda: cycle_graph(8),
+          "q4": lambda: hypercube_graph(4)}
+
+
+@pytest.mark.parametrize(("name", "steps"), [("c4", 30_069), ("c8", 29_994), ("q4", 25_667)])
+def test_probe_matches_the_reference_loop_at_the_benchmark_start(name, steps):
+    sys_, theta, direction = cde_probe_start(GRAPHS[name](), 2e-2)
+    report = same_probe(sys_, theta, direction, x0=2e-2)
+    assert (report.escaped, report.steps, report.exit_time) == (True, steps, steps * 1e-3)
+
+
+def test_probe_matches_the_reference_loop_on_the_k24_vertex_and_at_sync():
+    report = same_probe(*k24_vertex_start(), x0=2e-2)
+    assert (report.escaped, report.steps) == (True, 9_662)
+    sys_, _, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    report = same_probe(sys_, np.zeros(4), direction, x0=2e-2)
+    assert report.converged and not report.escaped
+
+
+def test_probe_matches_the_reference_loop_when_the_budget_runs_out():
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    report = same_probe(sys_, theta, direction, x0=2e-2, max_steps=1_000)
+    assert (report.escaped, report.converged, report.steps) == (False, False, 1_000)
+
+
+def test_probe_matches_the_reference_loop_past_a_distance_of_pi():
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 0.1)
+    # 0.1 * 50 puts vertex 0 five radians from theta on the lift, 2pi - 5 on the torus
+    far = np.array([50.0, 0.0, 0.0, 0.0])
+    report = same_probe(sys_, theta, far, x0=0.1, epsilon=2.0, max_steps=3_000)
+    assert report.steps > 1
+    # no torus distance exceeds pi, so with epsilon above pi nothing escapes
+    for start in (direction, far):
+        report = same_probe(sys_, theta, start, x0=0.1, epsilon=4.0, max_steps=6_000)
+        assert not report.escaped
+
+
+def test_probe_matches_the_reference_loop_on_random_even_bipartite_cdes():
+    rng = np.random.default_rng(1201)
+    probed = 0
+    for _ in range(8):
+        g = random_even_bipartite_graph(int(rng.integers(6, 13)), int(rng.integers(2, 6)), rng)
+        sys_ = OscillatorSystem.identical(g)
+        for q in enumerate_cdes(g, limit=2):
+            direction = rng.normal(size=g.vertex_count)
+            same_probe(sys_, q.phases(), direction, x0=0.05, max_steps=1_500)
+            probed += 1
+    assert probed >= 8
+
+
+def test_kernel_matches_the_reference_loops_on_nonidentical_systems():
+    rng = np.random.default_rng(1202)
+    tested = 0
+    while tested < 6:
+        g = random_bipartite_graph(int(rng.integers(3, 10)), rng)
+        if g.edge_count == 0:
+            continue
+        coupling = float(rng.uniform(0.5, 3.0))
+        built = construct_nonidentical_cde(g, coupling)
+        sys_ = OscillatorSystem(g, coupling, built.frequencies)
+        direction = rng.normal(size=g.vertex_count)
+        same_probe(sys_, built.phases, direction, x0=0.05, max_steps=1_500)
+        same_trace(sys_, built.phases + 0.3 * direction, 1e-2, 300)
+        tested += 1
+
+
+def test_integrate_matches_the_reference_loop():
+    rng = np.random.default_rng(1203)
+    for g in (cycle_graph(4), hypercube_graph(4), hypercube_graph(7)):
+        same_trace(OscillatorSystem.identical(g), rng.uniform(0, 2 * np.pi, g.vertex_count),
+                   1e-3, 500)
+    g = random_connected_graph(7, 0.5, rng)
+    sys_ = OscillatorSystem(g, 1.7, rng.normal(size=7))
+    same_trace(sys_, rng.uniform(0, 2 * np.pi, 7), 1e-2, 500)
+
+
+# --- the escape law of the quadratic normal form ---
+
+TAU_STAR = {"c4": 0.6232252, "c8": 0.6215729, "q4": 0.5280086}
+# Fixed-step exit times (dt = 1e-3, epsilon = 0.5) from each graph's first CDE
+# along the descending edge-pair direction, by x0.
+PINNED_EXIT_TIMES = {
+    "c4": {1e-3: 622.137, 1e-2: 61.232, 2e-2: 30.069, 5e-2: 11.366},
+    "c8": {1e-3: 620.492, 1e-2: 61.075, 2e-2: 29.994, 5e-2: 11.34},
+    "q4": {1e-3: 527.346, 1e-2: 52.088, 2e-2: 25.667, 5e-2: 9.792},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_STAR))
+def test_normal_form_blowup_time_converges_under_step_halving(name):
+    sys_, theta, direction = cde_probe_start(GRAPHS[name](), 1e-3)
+    coarse = normal_form_blowup_time(sys_, theta, direction, eta=1e-2)
+    fine = normal_form_blowup_time(sys_, theta, direction, eta=5e-3)
+    assert abs(coarse - fine) < 1e-8
+    assert coarse == pytest.approx(TAU_STAR[name], abs=1e-7)
+
+
+def test_pinned_exit_times_follow_the_escape_law():
+    for name, exits in PINNED_EXIT_TIMES.items():
+        sys_, theta, direction = cde_probe_start(GRAPHS[name](), 1e-3)
+        tau = normal_form_blowup_time(sys_, theta, direction)
+        for x0, exit_time in exits.items():
+            assert abs(x0 * exit_time - tau) <= 1.5 * x0, (name, x0)
+    tau = normal_form_blowup_time(*k24_vertex_start())
+    assert tau == pytest.approx(0.19936, abs=1e-5)
+    assert abs(2e-2 * 9.662 - tau) <= 1.5 * 2e-2
+
+
+def test_normal_form_blowup_time_reads_the_phases():
+    # the opposite direction at the K2,4 vertex blows up too, later
+    assert normal_form_blowup_time(*k24_vertex_start(-1.0)) == pytest.approx(1.5327, abs=1e-4)
+    g = cycle_graph(4)
+    sys_, theta, direction = cde_probe_start(g, 1e-3)
+    tau = normal_form_blowup_time(sys_, theta, direction)
+    assert normal_form_blowup_time(OscillatorSystem(g, 2.5), theta, direction) == pytest.approx(
+        tau / 2.5, rel=1e-6)
+    with pytest.raises(ValueError, match="degenerate"):
+        normal_form_blowup_time(sys_, np.zeros(4), direction)
+

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,15 +10,23 @@ from degen_kuramoto import (
     OscillatorSystem,
     circular_distance,
     classify_edges,
+    complete_bipartite_graph,
+    construct_nonidentical_cde,
     cycle_graph,
     energy,
     gradient_consistency,
+    hypercube_graph,
     jacobian,
     phase_vector,
     symmetric_eigenvalues,
     vector_field,
 )
-from helpers import random_connected_graph, symmetric_2x2_eigs, symmetric_3x3_eigs
+from helpers import (
+    _reference_field,
+    random_connected_graph,
+    symmetric_2x2_eigs,
+    symmetric_3x3_eigs,
+)
 
 C4_CDE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
@@ -200,3 +209,44 @@ def test_all_critical_edges_means_zero_jacobian():
         theta = q.phases()
         assert set(classify_edges(sys_, theta).values()) == {"critical"}
         assert np.abs(jacobian(sys_, theta)).max() < 1e-12
+
+
+def test_vector_field_matches_the_reference_formula_bit_for_bit():
+    rng = np.random.default_rng(1205)
+    k24 = complete_bipartite_graph(2, 4)
+    g7 = random_connected_graph(7, 0.5, rng)
+    systems = [
+        OscillatorSystem.identical(cycle_graph(4)),
+        OscillatorSystem.identical(hypercube_graph(4)),
+        OscillatorSystem(cycle_graph(4), 1.0, [-0.0] * 4),  # identical, with -0.0 frequencies
+        OscillatorSystem(k24, 2.0, construct_nonidentical_cde(k24, 2.0).frequencies),
+        OscillatorSystem(g7, 1.7, rng.normal(size=7)),
+    ]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for sys_ in systems:
+        n = sys_.graph.vertex_count
+        for i in range(300):
+            if i % 3 == 0:  # quarter-lattice states give exact cancellations, so zero entries
+                theta = rng.integers(-4, 8, n) * (np.pi / 2)
+            else:
+                theta = rng.uniform(-10.0, 10.0, n)
+            if i % 3 == 2:
+                mask = rng.random(n) < 0.3
+                theta[mask] = rng.choice(special, int(mask.sum()))
+            with np.errstate(invalid="ignore"):
+                got, want = vector_field(sys_, theta), _reference_field(sys_, theta)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (sys_, theta)
+
+
+def test_oscillator_system_survives_pickling():
+    rng = np.random.default_rng(1204)
+    g = complete_bipartite_graph(2, 4)
+    built = construct_nonidentical_cde(g, 2.0)
+    for sys_ in (OscillatorSystem.identical(cycle_graph(4)),
+                 OscillatorSystem(g, 2.0, built.frequencies)):
+        copy = pickle.loads(pickle.dumps(sys_))
+        assert (copy.graph, copy.coupling, copy.is_identical) == (
+            sys_.graph, sys_.coupling, sys_.is_identical)
+        theta = rng.uniform(0, 2 * np.pi, sys_.graph.vertex_count)
+        assert np.array_equal(vector_field(copy, theta).view(np.int64),
+                              vector_field(sys_, theta).view(np.int64))

@@ -166,7 +166,7 @@ def instability_probe(
 
     Reports whether the max-over-vertices circular distance from theta ever
     exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10),
-    |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
+    epsilon > 0, |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
     escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13):
     residual drift over the remaining budget is then far below epsilon.
     Raises NonFiniteStateError if the state stops being finite.
@@ -183,6 +183,8 @@ def instability_probe(
     residual = float(np.max(np.abs(field(theta))))
     if residual >= 1.0e-10:
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     if not abs(x0) < epsilon / 4.0:
         raise ValueError("|x0| must be smaller than epsilon / 4")
     if not dt > 0:
@@ -219,11 +221,18 @@ def edge_pair_direction(g: Graph, c: EulerCircuit) -> np.ndarray:
 
 
 def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e-3) -> float:
-    """Sign s in {+1, -1} for which theta + s * probe * direction lowers the energy."""
+    """Sign s in {+1, -1} for which theta + s * probe * direction lowers the energy.
+
+    direction and probe must be finite: a NaN energy would compare false.
+    """
     theta = np.asarray(theta, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != theta.shape:
         raise ValueError("direction must match the state shape")
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction must be finite")
+    if not math.isfinite(probe):
+        raise ValueError("probe must be finite")
     e_plus = energy(sys, theta + probe * direction)
     e_minus = energy(sys, theta - probe * direction)
     return 1.0 if e_plus <= e_minus else -1.0

@@ -11,6 +11,7 @@ from .degeneracy import BudgetExceededError, _count_cdes, admits_cde
 from .graphs import (
     Graph,
     _gnp_pairs,
+    _pair_index,
     complete_bipartite_graph,
     cycle_graph,
     glue_four_cycle,
@@ -90,21 +91,34 @@ class RarityReport:
         }
 
 
-def _closes_triangle(adj: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the edges (u[k], v[k]), u < v, contain a triangle.
+def _chunk_rows(pairs: int, p: float) -> int:
+    """Samples per chunk: at most 2**15 pair draws (a 256 kB float buffer)
+    and an expected 2**13 kept pairs, whose index temporaries take under
+    100 bytes each; at least one sample."""
+    return max(1, int(2**15 // (max(pairs, 1) * max(1.0, 4 * p))))
 
-    adj is an all-False n x n scratch matrix, left so. Only adj[u, v] is set,
-    so row k holds the neighbours above k, and a triangle a < b < c shows as
-    c in rows a and b, on its edge (a, b).
+
+def _chunk_filters(n: int, sample: np.ndarray, a: np.ndarray, b: np.ndarray, size: int):
+    """Edgeless, odd-degree and triangle flags of each of size samples.
+
+    Sample sample[k] keeps the edge (a[k], b[k]), a < b; the edges are sorted
+    by (sample, a, b). Degrees are two bincounts over sample * n + endpoint.
+    Row sample * n + k of the upper adjacency packs each kept edge (k, c),
+    c > k, as bit c % 32 of word c // 32, summed by a bincount whose float
+    weights 2**(c % 32) are distinct powers of two, so the sums are exact.
+    A triangle a < b < c shows as c in rows a and b, on its edge (a, b).
     """
-    adj[u, v] = True
-    step = max(1, (1 << 18) // adj.shape[0])  # each (step, n) temporary stays under 256 kB
-    found = any(
-        (adj.take(u[k : k + step], 0) & adj.take(v[k : k + step], 0)).any()
-        for k in range(0, u.size, step)
-    )
-    adj[u, v] = False
-    return found
+    ends = sample * n
+    ra, rb = ends + a, ends + b
+    degree = np.bincount(ra, minlength=size * n) + np.bincount(rb, minlength=size * n)
+    odd = (degree.reshape(size, n) & 1).any(axis=1)
+    words = (n + 31) // 32
+    bits = np.left_shift(1, b & 31, dtype=np.int64)
+    upper = np.bincount(ra * words + (b >> 5), bits, size * n * words)
+    upper = upper.astype(np.int64).reshape(size * n, words)
+    closes = np.flatnonzero(upper.take(ra, 0) & upper.take(rb, 0)) // words
+    triangle = np.bincount(sample[closes], minlength=size) > 0
+    return np.bincount(sample, minlength=size) == 0, odd, triangle
 
 
 def rarity_experiment(
@@ -113,34 +127,36 @@ def rarity_experiment(
     """Sample G(n, p) graphs and tally which degeneracy filter decides each.
 
     Per-sample generator keys are derived from the seed, so the report is
-    reproducible bit for bit for fixed (n, p, samples, seed). The edgeless,
-    odd-degree and triangle filters run on each sample's kept-pair arrays;
-    only the samples that pass them become a Graph for admits_cde, so every
-    tally is the one admits_cde gives on erdos_renyi(n, p, key).
+    reproducible bit for bit for fixed (n, p, samples, seed). Samples are
+    drawn in chunks, and the edgeless, odd-degree and triangle filters run
+    once per chunk on its kept pairs. Only the samples that pass them become
+    a Graph for admits_cde, in sample order, so every tally is the one
+    admits_cde gives on erdos_renyi(n, p, key).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    keys = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64).tolist()
+    kept = _gnp_pairs(n, p)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    u, v = _pair_index(n)
+    rows = _chunk_rows(u.size, p)
+    draws = np.empty((min(rows, samples), u.size))
     counts = {b: 0 for b in BUCKETS}
     witnesses = []
     triangles = 0
-    # all False between samples; n < 0 is left for _gnp_pairs to reject
-    adj = np.zeros((max(n, 0),) * 2, dtype=bool)
-    keys = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64)
-    philox = np.random.Philox()  # re-keyed for each sample
-    for i, key in enumerate(keys.tolist()):
-        u, v = _gnp_pairs(n, p, key, philox)
-        if budget < 0:  # n and p are checked first, as when admits_cde saw every sample
-            raise ValueError("budget must be nonnegative")
-        triangle = u.size > 2 and _closes_triangle(adj, u, v)
-        triangles += triangle
-        if u.size == 0:
-            bucket = "edgeless"
-        elif ((np.bincount(u, minlength=n) + np.bincount(v, minlength=n)) % 2).any():
-            bucket = "odd_degree"
-        elif triangle:
-            bucket = "triangle"
-        else:
-            g = Graph(n, zip(u.tolist(), v.tolist()))
+    for start in range(0, samples, rows):
+        chunk = keys[start : start + rows]
+        # int32 halves the index temporaries (a row of 2**31 pairs would be 16 GB of draws)
+        sample, pair = np.divmod(kept(chunk, draws).astype(np.int32), u.size)
+        edgeless, odd, triangle = _chunk_filters(n, sample, u[pair], v[pair], len(chunk))
+        triangles += int(np.count_nonzero(triangle))
+        counts["edgeless"] += int(np.count_nonzero(edgeless))
+        counts["odd_degree"] += int(np.count_nonzero(odd))
+        counts["triangle"] += int(np.count_nonzero(triangle & ~odd))
+        for j in np.flatnonzero(~(edgeless | odd | triangle)).tolist():
+            lo, hi = np.searchsorted(sample, (j, j + 1))
+            g = Graph(n, zip(u[pair[lo:hi]].tolist(), v[pair[lo:hi]].tolist()))
             try:
                 report = admits_cde(g, budget=budget)
             except BudgetExceededError:
@@ -150,8 +166,8 @@ def rarity_experiment(
             if bucket == "enumeration":
                 bucket = "admits" if report.admits else "enumeration_empty"
             if bucket == "admits":
-                witnesses.append((i, g.edges))
-        counts[bucket] += 1
+                witnesses.append((start + j, g.edges))
+            counts[bucket] += 1
     admits = counts["admits"]
     low, high = _wilson_interval(admits, samples)
     return RarityReport(

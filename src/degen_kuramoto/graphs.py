@@ -46,11 +46,22 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
             canonical.add((lo, hi))
+        self._fill(n, tuple(sorted(canonical)))
+
+    @classmethod
+    def _from_sorted(cls, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """Graph(n, zip(u, v)) for endpoint arrays of distinct pairs u < v < n,
+        sorted; nothing is checked."""
+        g = cls.__new__(cls)
+        g._fill(n, tuple(zip(u.tolist(), v.tolist())))
+        return g
+
+    def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         self._n = n
-        self._edges = tuple(sorted(canonical))
+        self._edges = edges
         # sorted pairs fill every adjacency list in ascending order
         adj = [[] for _ in range(n)]
-        for u, v in self._edges:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
@@ -264,37 +275,53 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     index), so the edge set depends only on (n, p, seed) and not on any
     iteration order.
     """
-    u, v = _gnp_pairs(n, p, seed)
-    return Graph(n, zip(u.tolist(), v.tolist()))
+    kept = _gnp_pairs(n, p)
+    u, v = _pair_index(n)
+    pairs = kept([int(seed)], np.empty((1, u.size)))
+    return Graph._from_sorted(n, u[pairs], v[pairs])
 
 
-def _gnp_pairs(n: int, p: float, seed: int, philox=None) -> tuple[np.ndarray, np.ndarray]:
-    """The kept pairs of erdos_renyi(n, p, seed) as endpoint arrays u < v, sorted.
+def _gnp_pairs(n: int, p: float):
+    """The G(n, p) sampler: checks n, then p, and returns kept(keys, draws).
 
-    A given Philox bit generator is re-keyed on seed (which must then fit in
-    64 bits) instead of building a new one: same draws, a quarter of the cost.
+    kept fills row i of the float buffer draws (C(n, 2) columns) with the
+    pair draws of keys[i] and returns the flat indices i * C(n, 2) + k of
+    the kept pairs, ascending: pair k of _pair_index(n) is kept under key
+    when the k-th draw of Generator(Philox(key=key)).random is below p.
+    One Philox serves every key (0 <= key < 2**128), re-keyed through a
+    reused state dict whose key words are rewritten: counter 0 and the
+    buffer used up, as in a fresh Philox(key=key). The dict holds plain
+    ints, which the state setter reads faster than numpy words.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    u, v = _pair_index(n)
-    if philox is None:
-        philox = np.random.Philox(key=int(seed))
-    else:  # the state of Philox(key=seed): counter 0, key [seed, 0], buffer used up
-        philox.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)},
-            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-    keep = np.random.Generator(philox).random(u.size) < p
-    return u[keep], v[keep]
+    philox = np.random.Philox()
+    random = np.random.Generator(philox).random
+    state = {
+        "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    words = state["state"]["key"]
+
+    def kept(keys, draws: np.ndarray) -> np.ndarray:
+        for key, row in zip(keys, draws):
+            if not 0 <= key < 1 << 128:
+                raise ValueError("key must be positive and less than 2**128.")
+            words[0] = key & 0xFFFF_FFFF_FFFF_FFFF
+            words[1] = key >> 64
+            philox.state = state
+            random(dtype=np.float64, out=row)  # an explicit dtype skips a slow default path
+        return np.flatnonzero(draws[: len(keys)] < p)
+
+    return kept
 
 
 @functools.lru_cache(maxsize=8)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only endpoint arrays of the pairs u < v in lexicographic (row-major) order."""
-    u, v = np.triu_indices(n, 1)
+    """Read-only int32 endpoint arrays of the pairs u < v in lexicographic (row-major) order."""
+    u, v = (w.astype(np.int32) for w in np.triu_indices(n, 1))
     u.setflags(write=False)
     v.setflags(write=False)
     return u, v

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -149,6 +150,47 @@ def reference_rarity_experiment(
         ci_high=high,
         witnesses=tuple(witnesses),
     )
+
+
+def even_degree_edge_sets(n: int):
+    """Every graph on vertices 0..n-1 with all degrees even, as an edge list.
+
+    The cycle-space bijection: any edge set on vertices 0..n-2, then vertex
+    n-1 joins each vertex of odd degree in it (there is an even number).
+    """
+    inner = list(itertools.combinations(range(n - 1), 2))
+    for chosen in itertools.product((False, True), repeat=len(inner)):
+        edges = [e for e, keep in zip(inner, chosen) if keep]
+        odd = [0] * n
+        for u, v in edges:
+            odd[u] ^= 1
+            odd[v] ^= 1
+        yield edges + [(k, n - 1) for k in range(n - 1) if odd[k]]
+
+
+@functools.lru_cache(maxsize=None)
+def exact_admit_table(n: int) -> dict[int, int]:
+    """A_n(m) as {m: count}: the labeled graphs on n vertices with m >= 1
+    edges that admit a CDE, by admits_cde on every even-degree graph."""
+    table = Counter(
+        len(edges) for edges in even_degree_edge_sets(n) if edges and admits_cde(Graph(n, edges)).admits
+    )
+    return dict(sorted(table.items()))
+
+
+def exact_admit_probability(n: int, p: float, table: dict[int, int]) -> float:
+    """P_n(p) = sum over m of A_n(m) p^m (1 - p)^(C(n, 2) - m)."""
+    pairs = n * (n - 1) // 2
+    return sum(count * p**m * (1 - p) ** (pairs - m) for m, count in table.items())
+
+
+def even_degree_probability(n: int, p: float) -> float:
+    """P(every degree of G(n, p) is even) = 2^-n sum_k C(n, k) (1 - 2p)^(k (n - k)).
+
+    A character sum over vertex subsets: only the k (n - k) edges crossing a
+    subset of size k flip its parity.
+    """
+    return sum(math.comb(n, k) * (1 - 2 * p) ** (k * (n - k)) for k in range(n + 1)) / 2**n
 
 
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

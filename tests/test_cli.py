@@ -280,6 +280,18 @@ def test_probe_non_finite_direction_exits_one(capsys, c4_file, direction):
     assert (code, out, err) == (1, "", "error: direction must be finite\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "nan", "epsilon must be positive"),
+    ("--epsilon", "-0.5", "epsilon must be positive"),
+    # --labels takes the descending sign at probe |x0| before the probe runs
+    ("--x0", "nan", "probe must be finite"),
+])
+def test_probe_bad_epsilon_or_x0_exits_one(capsys, c4_file, flag, value, message):
+    code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",
+                         f"{flag}={value}")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_probe_on_a_graph_with_no_vertices_exits_one(capsys, tmp_path):
     path = tmp_path / "empty.edges"
     path.write_text("")

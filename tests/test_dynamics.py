@@ -289,6 +289,30 @@ def test_descending_sign_rejects_a_direction_of_another_shape(shape):
         descending_sign(sys_, theta, np.ones(shape))
 
 
+@pytest.mark.parametrize("direction, probe, message", [
+    ([np.nan, 0.0, 0.0, 0.0], 1e-3, "direction must be finite"),
+    ([np.inf, -1.0, 0.0, 0.0], 1e-3, "direction must be finite"),
+    ([1.0, -1.0, 0.0, 0.0], np.nan, "probe must be finite"),
+    ([1.0, -1.0, 0.0, 0.0], np.inf, "probe must be finite"),
+    ([1.0, -1.0, 0.0, 0.0], -np.inf, "probe must be finite"),
+])
+def test_descending_sign_rejects_a_non_finite_direction_or_probe(direction, probe, message):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        descending_sign(sys_, theta, direction, probe=probe)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, 0.0, -0.5, -np.inf])
+def test_instability_probe_rejects_a_non_positive_epsilon(epsilon):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        instability_probe(sys_, theta, [1.0, -1.0, 0.0, 0.0], x0=1e-3, epsilon=epsilon)
+
+
 # --- the shared RK4 kernel against the plain per-step loops it replaced ---
 
 

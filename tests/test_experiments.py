@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from degen_kuramoto import (
     BudgetExceededError,
+    Graph,
+    admits_cde,
     contains_triangle,
     enumerate_cdes,
     erdos_renyi,
@@ -10,8 +14,15 @@ from degen_kuramoto import (
     rarity_experiment,
 )
 from degen_kuramoto import experiments
-from degen_kuramoto.experiments import BUCKETS, _closes_triangle, _family_graph
-from helpers import brute_force_cdes, reference_rarity_experiment
+from degen_kuramoto.experiments import BUCKETS, _chunk_filters, _family_graph
+from helpers import (
+    brute_force_cdes,
+    even_degree_edge_sets,
+    even_degree_probability,
+    exact_admit_probability,
+    exact_admit_table,
+    reference_rarity_experiment,
+)
 
 
 def test_rarity_all_triangles():
@@ -61,6 +72,8 @@ RARITY_GRID = (
     (12, 0.5, 300), (40, 0.1, 200), (100, 0.05, 60), (8, 0.5, 400), (5, 0.6, 400),
     (9, 0.45, 300), (300, 0.3, 4), (6, 0.4, 1000), (0, 0.5, 3), (1, 0.5, 3),
     (2, 0.5, 20), (7, 0.0, 5), (7, 1.0, 5), (3, 1.0, 5),
+    # several chunks at each benchmark size, the last one partial
+    (12, 0.5, 1000), (40, 0.1, 300), (100, 0.05, 40),
 )
 
 
@@ -76,6 +89,26 @@ def test_rarity_matches_the_per_sample_graph_reference():
                 for i, edges in report.witnesses:
                     assert edges == erdos_renyi(n, p, int(keys[i])).edges
     assert reached == set(BUCKETS)
+
+
+@pytest.mark.parametrize("n, p, samples", [(12, 0.5, 1000), (40, 0.1, 300), (100, 0.05, 40)])
+def test_rarity_grid_spans_several_chunks_at_each_benchmark_size(n, p, samples):
+    assert samples > 3 * experiments._chunk_rows(n * (n - 1) // 2, p)
+    assert samples % experiments._chunk_rows(n * (n - 1) // 2, p) != 0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_rarity_is_the_same_for_every_chunk_size(monkeypatch, rows):
+    n, p, samples = 6, 0.4, 400
+    last = [int(key) for key in np.random.SeedSequence(1).generate_state(samples, dtype=np.uint64)]
+    last = [admits_cde(erdos_renyi(n, p, key)).decided_by for key in last[rows - 1 :: rows]]
+    # a survivor, and a triangle found by the chunk filters, each end a chunk
+    assert {"enumeration", "non-bipartite"} & set(last) and "triangle" in last
+    monkeypatch.setattr(experiments, "_chunk_rows", lambda pairs, p: rows)
+    for seed in (1, 2):
+        for budget in (1_000_000, 0):
+            report = rarity_experiment(n, p, samples, seed, budget=budget)
+            assert report == reference_rarity_experiment(n, p, samples, seed, budget=budget)
 
 
 def test_rarity_zero_budget_reaches_budget_exceeded():
@@ -125,18 +158,21 @@ def test_rarity_builds_a_graph_only_for_filter_survivors(monkeypatch, n, p, samp
         assert survivors > 0
 
 
-def test_closes_triangle_finds_a_triangle_past_the_first_chunk():
-    n = 1200  # chunks of 218 edges
+def test_chunk_filters_find_a_triangle_in_the_last_sample_past_the_first_word():
+    n = 1200  # 38 words per upper-adjacency row
     u = np.arange(n - 1)
-    v = u + 1  # a path: no triangle
-    adj = np.zeros((n, n), dtype=bool)
-    assert not _closes_triangle(adj, u, v)
-    assert not adj.any()
+    v = u + 1  # a path: no triangle, odd ends
     # the chord (n - 3, n - 1) closes the last three path vertices
     u2, v2 = np.append(u, n - 3), np.append(v, n - 1)
     order = np.lexsort((v2, u2))
-    assert _closes_triangle(adj, u2[order], v2[order])
-    assert not adj.any()
+    path, closed, empty = (u, v), (u2[order], v2[order]), (u[:0], v[:0])
+    for chunk in ((path,), (closed,), (path, empty, closed)):
+        sample = np.repeat(np.arange(len(chunk)), [a.size for a, _ in chunk])
+        a, b = (np.concatenate(ends) for ends in zip(*chunk))
+        edgeless, odd, triangle = _chunk_filters(n, sample, a, b, len(chunk))
+        assert edgeless.tolist() == [s is empty for s in chunk]
+        assert odd.tolist() == [s is not empty for s in chunk]
+        assert triangle.tolist() == [s is closed for s in chunk]
 
 
 def test_family_sweep_cycles():
@@ -219,3 +255,65 @@ def test_negative_budget_is_rejected():
         rarity_experiment(6, 0.5, 3, seed=0, budget=-1)
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         family_sweep("cycle", [4], budget=-1)
+
+
+# --- exact rarity oracles -------------------------------------------------------
+
+# Fixed before the first run: a count outside the bound is a finding, not a
+# reason to re-seed.
+ORACLE_SEED, ORACLE_SAMPLES, ORACLE_SIGMAS = 1, 20_000, 5.0
+
+# A_8(m), from admits_cde on all 2,097,152 even-degree graphs on 8 vertices
+EXACT_ADMITS_8 = {4: 210, 8: 8295, 12: 1288, 16: 35}
+
+
+def assert_closed_form_counts(report):
+    n, p, samples = report.n, report.p, report.samples
+    for bucket, prob in (("edgeless", (1 - p) ** (n * (n - 1) // 2)),
+                         ("odd_degree", 1 - even_degree_probability(n, p))):
+        mean, sd = samples * prob, math.sqrt(samples * prob * (1 - prob))
+        assert abs(report.counts[bucket] - mean) <= ORACLE_SIGMAS * sd, (bucket, report.counts, mean, sd)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_even_degree_probability_sums_the_even_graphs(n):
+    pairs = n * (n - 1) // 2
+    for p in (0.1, 0.5, 0.8):
+        total = sum(p ** len(e) * (1 - p) ** (pairs - len(e)) for e in even_degree_edge_sets(n))
+        assert math.isclose(total, even_degree_probability(n, p), rel_tol=1e-12)
+    assert even_degree_probability(n, 0.5) == (2.0 ** -(n - 1) if n else 1.0)
+
+
+@pytest.mark.parametrize("n, p", [(12, 0.5), (20, 0.1), (40, 0.05)])
+def test_rarity_edgeless_and_odd_degree_counts_match_the_closed_forms(n, p):
+    assert_closed_form_counts(rarity_experiment(n, p, ORACLE_SAMPLES, ORACLE_SEED))
+
+
+def test_exact_admit_tables():
+    tables = {n: exact_admit_table(n) for n in range(8)}
+    assert tables == {0: {}, 1: {}, 2: {}, 3: {}, 4: {4: 3}, 5: {4: 15}, 6: {4: 45, 8: 15},
+                      7: {4: 105, 8: 735}}
+    tables[8] = EXACT_ADMITS_8
+    for n, table in tables.items():
+        assert table.get(4, 0) == 3 * math.comb(n, 4)  # the labeled 4-cycles
+        assert all(m % 4 == 0 for m in table)  # mod-4 Euler circuits
+    assert EXACT_ADMITS_8[16] == math.comb(8, 4) // 2  # the labeled K4,4
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_admits_cde_matches_brute_force_on_every_even_degree_graph(n):
+    for edges in even_degree_edge_sets(n):
+        if edges:
+            g = Graph(n, edges)
+            assert admits_cde(g).admits == bool(brute_force_cdes(g)), edges
+
+
+@pytest.mark.parametrize("n, p", [(6, 0.5), (7, 0.4), (8, 0.3)])
+def test_rarity_interval_covers_the_exact_admit_probability(n, p):
+    table = EXACT_ADMITS_8 if n == 8 else exact_admit_table(n)
+    report = rarity_experiment(n, p, ORACLE_SAMPLES, ORACLE_SEED)
+    assert report.ci_low <= exact_admit_probability(n, p, table) <= report.ci_high
+    assert_closed_form_counts(report)
+    assert len(report.witnesses) == report.counts["admits"] > 0
+    for _, edges in report.witnesses:
+        assert len(edges) % 4 == 0 and admits_cde(Graph(n, edges)).admits

@@ -210,13 +210,21 @@ def test_erdos_renyi_matches_the_pair_list_reference():
 
 
 def test_a_rekeyed_philox_draws_like_a_fresh_one():
-    philox = np.random.Philox(key=7)
-    np.random.Generator(philox).random(5)  # leave a counter and a part-used buffer behind
-    for key in (0, 1, 2**63 + 5, 2**64 - 1):
-        for n, p in ((12, 0.5), (40, 0.1)):
-            got = graphs._gnp_pairs(n, p, key, philox)
-            want = graphs._gnp_pairs(n, p, key)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (key, n, p)
+    for n, p in ((12, 0.5), (40, 0.1)):
+        kept = graphs._gnp_pairs(n, p)
+        draws = np.empty((2, n * (n - 1) // 2))
+        # each call leaves a counter and a part-used buffer behind for the next key
+        for keys in ((7,), (0, 1), (2**63 + 5, 2**64 - 1), (2**64, 2**128 - 1)):
+            hits = kept(keys, draws)
+            fresh = [np.random.Generator(np.random.Philox(key=k)).random(draws.shape[1]) for k in keys]
+            assert np.array_equal(draws[: len(keys)], fresh), (keys, n, p)
+            assert np.array_equal(hits, np.flatnonzero(np.array(fresh) < p)), (keys, n, p)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_erdos_renyi_rejects_a_seed_outside_the_philox_keys(seed):
+    with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
+        erdos_renyi(5, 0.5, seed)
 
 
 def test_erdos_renyi_checks_n_and_p_before_the_seed():

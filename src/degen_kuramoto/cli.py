@@ -183,7 +183,8 @@ def cmd_probe(args) -> str:
             raise ValueError("give --direction, or --labels so the paired-edge direction exists")
         circuit = phases_to_circuit(doc.graph, labeling)
         direction = edge_pair_direction(doc.graph, circuit)
-        direction *= descending_sign(sys_, theta, direction, probe=abs(args.x0))
+        if np.isfinite(args.x0):  # else instability_probe says "x0 must be finite"
+            direction *= descending_sign(sys_, theta, direction, probe=abs(args.x0))
     report = instability_probe(
         sys_,
         theta,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import (Graph, _bfs_forest, _odd_cycle, _odd_vertex, connected_components,
                      contains_triangle, is_bipartite)
-from .oscillator import HALF_PI, OscillatorSystem, phase_vector, signed_gap, vector_field
+from .oscillator import HALF_PI, OscillatorSystem, _wrap, phase_vector, signed_gap, vector_field
 
 __all__ = [
     "QuarterLabeling",
@@ -64,7 +64,7 @@ class QuarterLabeling:
         base = float(self.base)
         if not math.isfinite(base):
             raise ValueError("base must be finite")
-        object.__setattr__(self, "base", base % (4.0 * HALF_PI))
+        object.__setattr__(self, "base", _wrap(np.array([base])).item())
 
     def phases(self) -> np.ndarray:
         return phase_vector(self.base + HALF_PI * np.array(self.labels, dtype=float))
@@ -205,16 +205,17 @@ def is_cde_nonidentical(
     theta = phase_vector(theta, g.vertex_count)
     ratios = tuple(float(w) / sys.coupling for w in sys.frequencies)
     integral = tuple(abs(r - round(r)) <= tol for r in ratios)
-    for u, v in g.edges:
-        c = float(np.cos(theta[v] - theta[u]))
-        if abs(c) > tol:
-            return NonidenticalVerdict(
-                False,
-                f"edge ({u}, {v}): cos(phase gap) = {c:.6g} is not 0 within {tol:g}",
-                edge=(u, v),
-                frequency_ratios=ratios,
-                ratios_integral=integral,
-            )
+    cos = np.cos(theta[sys._edge_v] - theta[sys._edge_u])
+    bad = np.flatnonzero(abs(cos) > tol)
+    if bad.size:
+        u, v = g.edges[bad[0]]
+        return NonidenticalVerdict(
+            False,
+            f"edge ({u}, {v}): cos(phase gap) = {cos[bad[0]]:.6g} is not 0 within {tol:g}",
+            edge=(u, v),
+            frequency_ratios=ratios,
+            ratios_integral=integral,
+        )
     for k in range(g.vertex_count):
         s = sum(float(np.sin(theta[j] - theta[k])) for j in g.neighbors(k))
         if abs(s + ratios[k]) > tol:

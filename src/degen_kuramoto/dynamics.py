@@ -22,7 +22,8 @@ from .degeneracy import (
     is_cde_nonidentical,
 )
 from .graphs import Graph
-from .oscillator import OscillatorSystem, _field_fn, _wrap, circular_distance, energy, phase_vector
+from .oscillator import (OscillatorSystem, _energies, _field_fn, _wrap, circular_distance, energy,
+                         phase_vector)
 
 __all__ = [
     "SimulationTrace",
@@ -96,10 +97,7 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     if not math.isfinite(float(dt) * steps):
         raise ValueError("dt * steps must be finite")
     times = dt * np.arange(steps + 1)
-    d = lift[:, sys._edge_v] - lift[:, sys._edge_u]
-    energies = sys.coupling * np.sum(1.0 - np.cos(d), axis=1)
-    if sys.frequencies.any():
-        energies -= lift @ sys.frequencies
+    energies = _energies(sys, lift)  # first: its temporaries and the wrapped copy would add up
     return SimulationTrace(times, _wrap(lift), energies)
 
 
@@ -166,7 +164,7 @@ def instability_probe(
 
     Reports whether the max-over-vertices circular distance from theta ever
     exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10),
-    epsilon > 0, |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
+    epsilon > 0, x0 finite with |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
     escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13):
     residual drift over the remaining budget is then far below epsilon.
     Raises NonFiniteStateError if the state stops being finite.
@@ -185,6 +183,8 @@ def instability_probe(
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     if not abs(x0) < epsilon / 4.0:
         raise ValueError("|x0| must be smaller than epsilon / 4")
     if not dt > 0:

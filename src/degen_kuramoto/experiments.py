@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,8 @@ def rarity_experiment(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    keys = np.random.SeedSequence(int(seed)).generate_state(samples, dtype=np.uint64).tolist()
+    seed = operator.index(seed)
+    keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()
     kept = _gnp_pairs(n, p)
     if budget < 0:
         raise ValueError("budget must be nonnegative")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +278,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """
     kept = _gnp_pairs(n, p)
     u, v = _pair_index(n)
-    pairs = kept([int(seed)], np.empty((1, u.size)))
+    pairs = kept([operator.index(seed)], np.empty((1, u.size)))
     return Graph._from_sorted(n, u[pairs], v[pairs])
 
 

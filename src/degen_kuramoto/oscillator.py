@@ -102,12 +102,8 @@ class OscillatorSystem:
         self.coupling = coupling
         self.frequencies = omega
         self.frequencies.setflags(write=False)
-        if graph.edge_count:
-            eu, ev = zip(*graph.edges)
-        else:
-            eu, ev = (), ()
-        self._edge_u = np.array(eu, dtype=int)
-        self._edge_v = np.array(ev, dtype=int)
+        # C-contiguous rows: _field_fn bincounts them in every RK4 stage
+        self._edge_u, self._edge_v = np.array(graph.edges, dtype=int).reshape(-1, 2).T.copy()
 
     @classmethod
     def identical(cls, graph: Graph) -> "OscillatorSystem":
@@ -173,25 +169,33 @@ def jacobian(sys: OscillatorSystem, theta) -> np.ndarray:
     return j
 
 
+def _energies(sys: OscillatorSystem, states: np.ndarray) -> np.ndarray:
+    """The unchecked energy of each state, taken along the last axis."""
+    d = states[..., sys._edge_v] - states[..., sys._edge_u]
+    e = sys.coupling * np.sum(1.0 - np.cos(d), axis=-1)
+    if sys.frequencies.any():
+        e = e - states @ sys.frequencies
+    return e
+
+
 def energy(sys: OscillatorSystem, theta) -> float:
     """Energy whose negative gradient is the flow; each edge counted once.
 
     theta is used as given (no torus reduction): for nonzero frequencies the
     linear term -sum omega_k theta_k is only defined on a lift.
     """
-    theta = _check_state(sys, theta)
-    d = theta[sys._edge_v] - theta[sys._edge_u]
-    e = sys.coupling * float(np.sum(1.0 - np.cos(d)))
-    if sys.frequencies.any():
-        e -= float(np.dot(sys.frequencies, theta))
-    return e
+    return float(_energies(sys, _check_state(sys, theta)))
 
 
 def gradient_consistency(sys: OscillatorSystem, theta, h: float = 1.0e-5) -> float:
     """Max deviation of F_k from the central difference of -E along e_k."""
     if not h > 0:
         raise ValueError("h must be positive")
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
     theta = _check_state(sys, theta).copy()
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("state must be finite")
     f = _field_fn(sys)(theta)
     worst = 0.0
     for k in range(theta.shape[0]):
@@ -240,13 +244,6 @@ def classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = _check_state(sys, theta)
-    labels = {}
-    for u, v in sys.graph.edges:
-        d = float(circular_distance(theta[u], theta[v]))
-        if abs(d - HALF_PI) <= tol:
-            labels[(u, v)] = "critical"
-        elif d < HALF_PI:
-            labels[(u, v)] = "short"
-        else:
-            labels[(u, v)] = "long"
-    return labels
+    d = circular_distance(theta[sys._edge_u], theta[sys._edge_v])
+    labels = np.where(abs(d - HALF_PI) <= tol, "critical", np.where(d < HALF_PI, "short", "long"))
+    return dict(zip(sys.graph.edges, labels.tolist()))

@@ -54,22 +54,18 @@ def hypercube_layout(n: int) -> list[tuple[float, float]]:
     return pts
 
 
-def _hue_color(theta: float) -> str:
-    r, g, b = colorsys.hsv_to_rgb((theta % TWO_PI) / TWO_PI, 1.0, 1.0)
+def _hue_color(theta: float) -> str:  # theta in [0, 2pi)
+    r, g, b = colorsys.hsv_to_rgb(theta / TWO_PI, 1.0, 1.0)
     return f"#{round(255 * r):02x}{round(255 * g):02x}{round(255 * b):02x}"
 
 
 def _vertex_colors(theta: np.ndarray, tol: float) -> tuple[list[str], bool]:
-    colors = []
-    any_offlattice = False
-    for t in theta:
-        m = int(round(t / HALF_PI)) % 4
-        if float(circular_distance(t, m * HALF_PI)) <= tol:
-            colors.append(PALETTE[m])
-        else:
-            colors.append(_hue_color(float(t)))
-            any_offlattice = True
-    return colors, any_offlattice
+    """Per vertex the nearest quarter's color within tol, else the hue; and if any is a hue."""
+    m = np.rint(theta / HALF_PI).astype(int) % 4
+    on = circular_distance(theta, m * HALF_PI) <= tol
+    colors = [PALETTE[k] if ok else _hue_color(t)
+              for k, ok, t in zip(m.tolist(), on.tolist(), theta.tolist())]
+    return colors, not on.all()
 
 
 def _fmt(x: float) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import colorsys
 import functools
 import itertools
 import math
@@ -15,6 +16,7 @@ from degen_kuramoto import (
     EscapeReport,
     Graph,
     NonFiniteStateError,
+    NonidenticalVerdict,
     OscillatorSystem,
     QuarterLabeling,
     RarityReport,
@@ -27,7 +29,8 @@ from degen_kuramoto import (
 )
 from degen_kuramoto.experiments import BUCKETS, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
-from degen_kuramoto.oscillator import _wrap
+from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
+from degen_kuramoto.render import PALETTE
 
 
 def brute_force_cdes(g: Graph) -> list[tuple[int, ...]]:
@@ -449,11 +452,85 @@ def reference_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) ->
             raise NonFiniteStateError(i)
         lift[i] = y
     times = dt * np.arange(steps + 1)
+    return SimulationTrace(times, _wrap(lift), reference_trace_energies(sys, lift))
+
+
+def reference_trace_energies(sys: OscillatorSystem, lift: np.ndarray) -> np.ndarray:
+    """The energies `integrate` computed inline for its (steps + 1, n) lift."""
     d = lift[:, sys._edge_v] - lift[:, sys._edge_u]
     energies = sys.coupling * np.sum(1.0 - np.cos(d), axis=1)
     if sys.frequencies.any():
         energies -= lift @ sys.frequencies
-    return SimulationTrace(times, _wrap(lift), energies)
+    return energies
+
+
+def reference_energy(sys: OscillatorSystem, theta) -> float:
+    """`energy` as it ran with its own copy of the formula."""
+    theta = np.asarray(theta, dtype=float)
+    d = theta[sys._edge_v] - theta[sys._edge_u]
+    e = sys.coupling * float(np.sum(1.0 - np.cos(d)))
+    if sys.frequencies.any():
+        e -= float(np.dot(sys.frequencies, theta))
+    return e
+
+
+def reference_classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:
+    """`classify_edges` as it ran with one scalar circular distance per edge."""
+    theta = np.asarray(theta, dtype=float)
+    labels = {}
+    for u, v in sys.graph.edges:
+        d = float(circular_distance(theta[u], theta[v]))
+        if abs(d - HALF_PI) <= tol:
+            labels[(u, v)] = "critical"
+        elif d < HALF_PI:
+            labels[(u, v)] = "short"
+        else:
+            labels[(u, v)] = "long"
+    return labels
+
+
+def reference_is_cde_nonidentical(sys: OscillatorSystem, theta, tol: float = 1.0e-9):
+    """`is_cde_nonidentical` as it ran with one scalar cosine per edge."""
+    g = sys.graph
+    theta = phase_vector(theta, g.vertex_count)
+    ratios = tuple(float(w) / sys.coupling for w in sys.frequencies)
+    integral = tuple(abs(r - round(r)) <= tol for r in ratios)
+    for u, v in g.edges:
+        c = float(np.cos(theta[v] - theta[u]))
+        if abs(c) > tol:
+            return NonidenticalVerdict(
+                False,
+                f"edge ({u}, {v}): cos(phase gap) = {c:.6g} is not 0 within {tol:g}",
+                edge=(u, v),
+                frequency_ratios=ratios,
+                ratios_integral=integral,
+            )
+    for k in range(g.vertex_count):
+        s = sum(float(np.sin(theta[j] - theta[k])) for j in g.neighbors(k))
+        if abs(s + ratios[k]) > tol:
+            return NonidenticalVerdict(
+                False,
+                f"vertex {k}: sine sum {s:.6g} != -omega/K = {-ratios[k]:.6g}",
+                vertex=k,
+                frequency_ratios=ratios,
+                ratios_integral=integral,
+            )
+    return NonidenticalVerdict(True, frequency_ratios=ratios, ratios_integral=integral)
+
+
+def reference_vertex_colors(theta: np.ndarray, tol: float) -> tuple[list[str], bool]:
+    """`render._vertex_colors` as it ran with one scalar test per vertex."""
+    colors = []
+    any_offlattice = False
+    for t in theta:
+        m = int(round(t / HALF_PI)) % 4
+        if float(circular_distance(t, m * HALF_PI)) <= tol:
+            colors.append(PALETTE[m])
+        else:
+            r, g, b = colorsys.hsv_to_rgb((float(t) % TWO_PI) / TWO_PI, 1.0, 1.0)
+            colors.append(f"#{round(255 * r):02x}{round(255 * g):02x}{round(255 * b):02x}")
+            any_offlattice = True
+    return colors, any_offlattice
 
 
 def reference_instability_probe(

@@ -141,6 +141,14 @@ def test_circuit_both_directions(capsys, c4_file):
     assert code == 1 and "error:" in err
 
 
+def test_circuit_base_that_rounds_up_to_two_pi_prints_zero(capsys, c4_file):
+    for base in ("0", "-1e-17"):
+        code, out, err = run(capsys, "circuit", "--input", c4_file, "--circuit", "0,1,2,3,0",
+                             f"--base={base}")
+        assert (code, out, err) == (
+            0, '{"base":0,"labels":[0,1,2,3],"mod4":{"ok":true}}\n', "")
+
+
 def test_construct_nonidentical(capsys, c4_file, k3_file):
     code, out, _ = run(capsys, "construct-nonidentical", "--input", c4_file,
                        "--coupling", "2.0")
@@ -283,8 +291,8 @@ def test_probe_non_finite_direction_exits_one(capsys, c4_file, direction):
 @pytest.mark.parametrize("flag, value, message", [
     ("--epsilon", "nan", "epsilon must be positive"),
     ("--epsilon", "-0.5", "epsilon must be positive"),
-    # --labels takes the descending sign at probe |x0| before the probe runs
-    ("--x0", "nan", "probe must be finite"),
+    ("--x0", "nan", "x0 must be finite"),
+    ("--x0", "inf", "x0 must be finite"),
 ])
 def test_probe_bad_epsilon_or_x0_exits_one(capsys, c4_file, flag, value, message):
     code, out, err = run(capsys, "probe", "--input", c4_file, "--labels", "0,1,2,3",

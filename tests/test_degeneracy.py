@@ -64,6 +64,15 @@ def test_a_non_finite_base_is_rejected(base):
     assert str(info.value) == "base must be finite"
 
 
+def test_a_base_that_rounds_up_to_two_pi_wraps_to_zero():
+    # -1e-17 % 2pi rounds to exactly 2pi; the base must stay in [0, 2pi)
+    for q in (QuarterLabeling((0, 1, 2, 3), -1e-17),
+              circuit_to_phases(cycle_graph(4), EulerCircuit((0, 1, 2, 3, 0)), -1e-17)):
+        assert q.base == 0.0 and type(q.base) is float
+        assert np.array_equal(q.phases(), QuarterLabeling((0, 1, 2, 3)).phases())
+    assert QuarterLabeling((0,), -1e-3).base == 2 * np.pi - 1e-3
+
+
 def test_euler_circuit_requires_closure():
     with pytest.raises(ValueError):
         EulerCircuit((0, 1, 2))

@@ -313,6 +313,17 @@ def test_instability_probe_rejects_a_non_positive_epsilon(epsilon):
         instability_probe(sys_, theta, [1.0, -1.0, 0.0, 0.0], x0=1e-3, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_instability_probe_rejects_a_non_finite_x0(x0):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    with pytest.raises(ValueError, match="^x0 must be finite$"):
+        instability_probe(sys_, theta, [1.0, -1.0, 0.0, 0.0], x0=x0)
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        instability_probe(sys_, theta, [1.0, -1.0, 0.0, 0.0], x0=x0, epsilon=np.nan)
+
+
 # --- the shared RK4 kernel against the plain per-step loops it replaced ---
 
 

@@ -14,6 +14,7 @@ from degen_kuramoto import (
     rarity_experiment,
 )
 from degen_kuramoto import experiments
+from degen_kuramoto.docio import canonical_json
 from degen_kuramoto.experiments import BUCKETS, _chunk_filters, _family_graph
 from helpers import (
     brute_force_cdes,
@@ -126,6 +127,19 @@ def test_rarity_errors_keep_their_precedence():
         rarity_experiment(5, 2.0, 3, seed=1, budget=-1)
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         rarity_experiment(2, 0.5, 3, seed=1, budget=-1)  # no sample reaches admits_cde
+
+
+def test_rarity_takes_integer_seeds_only():
+    with pytest.raises(TypeError):
+        rarity_experiment(6, 0.5, 50, 1.9)
+    with pytest.raises(ValueError, match="samples"):
+        rarity_experiment(6, 0.5, 0, 1.9)
+    with pytest.raises(TypeError):
+        rarity_experiment(-1, 2.0, 3, 1.9)  # the seed is read before n and p
+    report = rarity_experiment(6, 0.5, 50, np.int64(1))
+    assert type(report.seed) is int and report == rarity_experiment(6, 0.5, 50, 1)
+    assert canonical_json(report.to_dict()) == canonical_json(
+        rarity_experiment(6, 0.5, 50, 1).to_dict())
 
 
 def test_rarity_keys_one_philox_per_call(monkeypatch):

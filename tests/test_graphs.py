@@ -237,6 +237,17 @@ def test_erdos_renyi_checks_n_and_p_before_the_seed():
     assert erdos_renyi(5, 0.5, 2**64).vertex_count == 5  # a new Philox takes keys below 2**128
 
 
+def test_erdos_renyi_takes_integer_seeds_only():
+    # int() would truncate 1.9 to the seed 1
+    for seed in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            erdos_renyi(6, 0.5, seed)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        erdos_renyi(-1, 0.5, 1.9)
+    for seed in (np.int64(1), np.uint64(1), np.int32(1), True):
+        assert erdos_renyi(6, 0.5, seed) == erdos_renyi(6, 0.5, 1)
+
+
 def test_erdos_renyi_edge_count_concentration():
     # binomial(190, 1/2): [60, 130] is a +-5 sigma window
     hits = sum(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from degen_kuramoto import (
+    HALF_PI,
     Graph,
     OscillatorSystem,
     circular_distance,
@@ -14,16 +15,26 @@ from degen_kuramoto import (
     construct_nonidentical_cde,
     cycle_graph,
     energy,
+    erdos_renyi,
     gradient_consistency,
     hypercube_graph,
+    integrate,
+    is_bipartite,
+    is_cde_nonidentical,
     jacobian,
     phase_vector,
     symmetric_eigenvalues,
     vector_field,
 )
+from degen_kuramoto.render import _vertex_colors
 from helpers import (
     _reference_field,
     random_connected_graph,
+    reference_classify_edges,
+    reference_energy,
+    reference_integrate,
+    reference_is_cde_nonidentical,
+    reference_vertex_colors,
     symmetric_2x2_eigs,
     symmetric_3x3_eigs,
 )
@@ -135,6 +146,19 @@ def test_gradient_consistency():
     assert gradient_consistency(sys_, theta, h=1e-5) < 1e-8
     with pytest.raises(ValueError):
         gradient_consistency(c4, C4_CDE, h=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gradient_consistency_rejects_non_finite_input(bad):
+    # max(worst, nan) keeps worst, so a NaN deviation used to read as 0.0
+    c4 = OscillatorSystem.identical(cycle_graph(4))
+    theta = C4_CDE.copy()
+    theta[2] = bad
+    with pytest.raises(ValueError, match="^state must be finite$"):
+        gradient_consistency(c4, theta)
+    message = "^h must be positive$" if bad != np.inf else "^h must be finite$"
+    with pytest.raises(ValueError, match=message):
+        gradient_consistency(c4, C4_CDE, h=bad)
 
 
 def test_symmetric_eigenvalues_examples():
@@ -250,3 +274,91 @@ def test_oscillator_system_survives_pickling():
         theta = rng.uniform(0, 2 * np.pi, sys_.graph.vertex_count)
         assert np.array_equal(vector_field(copy, theta).view(np.int64),
                               vector_field(sys_, theta).view(np.int64))
+
+
+@pytest.mark.parametrize("graph", [Graph(0), Graph(5), cycle_graph(4), hypercube_graph(3)],
+                         ids=["empty", "edgeless", "c4", "q3"])
+def test_edge_rows_are_contiguous_int_arrays(graph):
+    sys_ = OscillatorSystem.identical(graph)
+    for row in (sys_._edge_u, sys_._edge_v):
+        assert row.dtype == np.dtype(int) and row.shape == (graph.edge_count,)
+        assert row.flags.c_contiguous
+    assert list(zip(sys_._edge_u.tolist(), sys_._edge_v.tolist())) == list(graph.edges)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _differential_cases(count: int):
+    """(system, state, tol) over G(n, p) graphs with n = 2..11.
+
+    States cycle through the quarter lattice (labels odd across edges where
+    the graph is bipartite, so many edges are critical), the lattice plus
+    noise of 1e-12, 1e-5 and 1e-2, and uniform reals; frequencies are zero,
+    the ones that balance the state, or random; tol runs from 1e-12 to 3.0,
+    or sits exactly on a distance that classify_edges, the edge cosine test
+    or the vertex colors compare with it.
+    """
+    rng = np.random.default_rng(1414)
+    noise = (0.0, 1.0e-12, 1.0e-5, 1.0e-2)
+    for i in range(count):
+        n = 2 + i % 10
+        g = erdos_renyi(n, rng.uniform(0.15, 0.9), i)
+        parts = is_bipartite(g).parts
+        if parts is None:
+            labels = rng.integers(0, 4, n)
+        else:
+            labels = 2 * rng.integers(0, 2, n)
+            labels[list(parts[1])] += 1
+        kind = i // 10 % 5
+        if kind < 4:
+            base = 0.0 if i % 2 else rng.uniform(-10.0, 10.0)
+            theta = base + HALF_PI * labels + 2 * np.pi * rng.integers(-2, 3, n)
+            theta += rng.normal(scale=noise[kind], size=n)
+        else:
+            theta = rng.uniform(-10.0, 10.0, n)
+        coupling = 1.0 if i % 3 == 0 else rng.uniform(0.2, 3.0)
+        if i % 3 == 0:
+            omega = None
+        elif i % 3 == 1:
+            omega = -coupling * vector_field(OscillatorSystem.identical(g), theta)
+        else:
+            omega = rng.normal(size=n)
+        tol = 1.0 if i % 7 == 0 else 10.0 ** rng.uniform(-12.0, math.log10(3.0))
+        if i % 11 == 5:  # tol exactly on the test's boundary, where <= and < part
+            phases = phase_vector(theta)
+            u, v = g.edges[0] if g.edge_count else (0, 1)
+            tol = float((abs(circular_distance(theta[u], theta[v]) - HALF_PI),
+                         abs(np.cos(phases[v] - phases[u])),
+                         circular_distance(phases[0], np.rint(phases[0] / HALF_PI) * HALF_PI),
+                         )[i % 3])
+        yield OscillatorSystem(g, coupling, omega), theta, tol
+
+
+def test_array_formulas_match_the_scalar_loops_bit_for_bit():
+    seen = {"short": 0, "long": 0, "critical": 0, "ok": 0, "edge": 0, "vertex": 0,
+            "palette": 0, "hue": 0}
+    for sys_, theta, tol in _differential_cases(4000):
+        labels = classify_edges(sys_, theta, tol)
+        assert labels == reference_classify_edges(sys_, theta, tol), (sys_, theta, tol)
+        for label in labels.values():
+            seen[label] += 1
+        verdict = is_cde_nonidentical(sys_, theta, tol)
+        assert verdict == reference_is_cde_nonidentical(sys_, theta, tol), (sys_, theta, tol)
+        seen["ok" if verdict else "edge" if verdict.edge else "vertex"] += 1
+        assert _bits(energy(sys_, theta)) == _bits(reference_energy(sys_, theta))
+        got = integrate(sys_, theta, 0.05, 3)
+        want = reference_integrate(sys_, theta, 0.05, 3)
+        for a, b in ((got.times, want.times), (got.states, want.states),
+                     (got.energies, want.energies)):
+            assert np.array_equal(_bits(a), _bits(b)), (sys_, theta)
+        phases = phase_vector(theta)
+        colors = _vertex_colors(phases, tol)
+        assert colors == reference_vertex_colors(phases, tol), (theta, tol)
+        seen["hue"] += colors[1]
+        seen["palette"] += not colors[1]
+        # a NaN phase is "long" on each of its edges, as it was edge by edge
+        theta[::3] = np.nan
+        assert classify_edges(sys_, theta, tol) == reference_classify_edges(sys_, theta, tol)
+    assert min(seen.values()) >= 100, seen

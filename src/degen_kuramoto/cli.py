@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .degeneracy import (
-    BudgetExceededError,
     EulerCircuit,
     QuarterLabeling,
     circuit_to_phases,
@@ -51,10 +51,6 @@ def _int_list(text: str) -> list[int]:
             return list(range(parts[0], parts[1], parts[2]))
         raise ValueError(f"bad range {text!r}; use start:stop[:step]")
     return [int(t) for t in text.split(",") if t.strip() != ""]
-
-
-def _load_document(path: str) -> GraphDocument:
-    return read_document(Path(path).read_text())
 
 
 def _doc_labeling(args, doc: GraphDocument) -> QuarterLabeling | None:
@@ -97,8 +93,7 @@ def _verdict_dict(verdict) -> dict:
     return {k: v for k, v in dataclasses.asdict(verdict).items() if v is not None and v != ()}
 
 
-def cmd_detect(args) -> str:
-    doc = _load_document(args.input)
+def cmd_detect(args, doc: GraphDocument) -> str:
     theta = _phases(_doc_state(args, doc))
     sys_ = _doc_system(args, doc)
     if sys_ is None:
@@ -108,8 +103,7 @@ def cmd_detect(args) -> str:
     return canonical_json(_verdict_dict(verdict))
 
 
-def cmd_enumerate(args) -> str:
-    doc = _load_document(args.input)
+def cmd_enumerate(args, doc: GraphDocument) -> str:
     labelings = enumerate_cdes(doc.graph, budget=args.budget)
     report = {
         "cde_count": len(labelings),
@@ -118,8 +112,7 @@ def cmd_enumerate(args) -> str:
     return emit_json(doc.graph, names=doc.names, report=report)
 
 
-def cmd_circuit(args) -> str:
-    doc = _load_document(args.input)
+def cmd_circuit(args, doc: GraphDocument) -> str:
     if args.circuit:
         circuit = EulerCircuit(tuple(int(t) for t in args.circuit.split(",")))
         labeling = circuit_to_phases(doc.graph, circuit, args.base)
@@ -142,8 +135,7 @@ def cmd_circuit(args) -> str:
     return canonical_json(out)
 
 
-def cmd_construct_nonidentical(args) -> str:
-    doc = _load_document(args.input)
+def cmd_construct_nonidentical(args, doc: GraphDocument) -> str:
     result = construct_nonidentical_cde(doc.graph, args.coupling)
     if result:
         fields = dict(phases=result.phases, frequencies=result.frequencies,
@@ -153,26 +145,21 @@ def cmd_construct_nonidentical(args) -> str:
     return emit_json(doc.graph, names=doc.names, **fields)
 
 
-def cmd_simulate(args) -> str:
-    doc = _load_document(args.input)
+def cmd_simulate(args, doc: GraphDocument) -> str:
     sys_ = _doc_system(args, doc) or OscillatorSystem.identical(doc.graph)
     theta0 = _doc_state(args, doc)
     if theta0 is None and args.seed is not None:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         theta0 = rng.uniform(0.0, 2.0 * np.pi, doc.graph.vertex_count)
     trace = integrate(sys_, _phases(theta0), dt=args.dt, steps=args.steps)
-    n = doc.graph.vertex_count
-    lines = ["t," + ",".join(f"theta_{k}" for k in range(n)) + ",E"]
-    for i in range(trace.times.shape[0]):
-        row = [f"{trace.times[i]:.17g}"]
-        row += [f"{x:.17g}" for x in trace.states[i]]
-        row.append(f"{trace.energies[i]:.17g}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"theta_{k}" for k in range(doc.graph.vertex_count)) + ",E"
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack((trace.times, trace.states, trace.energies)), fmt="%.17g",
+               delimiter=",", header=header, comments="")
+    return buf.getvalue()
 
 
-def cmd_probe(args) -> str:
-    doc = _load_document(args.input)
+def cmd_probe(args, doc: GraphDocument) -> str:
     sys_ = _doc_system(args, doc) or OscillatorSystem.identical(doc.graph)
     theta = _phases(_doc_state(args, doc))
     if args.direction:
@@ -215,8 +202,7 @@ def cmd_sweep(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_render(args) -> str:
-    doc = _load_document(args.input)
+def cmd_render(args, doc: GraphDocument) -> str:
     state = _doc_state(args, doc)
     # a labeling is drawn by label, not by phase
     theta = state if isinstance(state, QuarterLabeling) else _phases(state)
@@ -319,12 +305,14 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # error lines, not numpy warnings
-            text = args.func(args)
+            # a subcommand with --input takes its document as a second argument
+            docs = (read_document(Path(args.input).read_text()),) if "input" in args else ()
+            text = args.func(args, *docs)
         if args.output:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError, BudgetExceededError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # BudgetExceededError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, _bfs_forest, _odd_cycle, _odd_vertex, connected_components,
-                     contains_triangle, is_bipartite)
+from .graphs import (Graph, _bfs_forest, _odd_cycle, _odd_vertex, contains_triangle,
+                     is_bipartite)
 from .oscillator import HALF_PI, OscillatorSystem, _wrap, phase_vector, signed_gap, vector_field
 
 __all__ = [
@@ -389,15 +389,17 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
     """Build an Euler circuit along which the label rises by +1 mod 4.
 
     Orienting each edge in its label-increasing direction yields a balanced
-    digraph, which a Hierholzer pass traverses: grow a greedy closed walk
-    from the smallest vertex (always taking the smallest unused successor),
-    then repeatedly splice closed sub-walks at the earliest walk vertex with
-    unused edges. Requires a connected graph with at least one edge and a
-    labeling that is exactly a CDE.
+    digraph, which one Hierholzer pass traverses. Starting at vertex 0, each
+    vertex the pass reaches is appended to the circuit and then followed by
+    its greedy closed walk on the unused edges (always taking the smallest
+    unused successor). This is the circuit that splicing closed sub-walks at
+    the earliest walk vertex with unused edges builds, in O(edge_count) steps.
+    Requires a connected graph with at least one edge and a labeling that is
+    exactly a CDE.
     """
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    if len(connected_components(g)) != 1:
+    if len(_bfs_forest(g)[0]) != 1:
         raise ValueError("graph must be connected")
     verdict = is_cde(g, q.phases())
     if not verdict:
@@ -407,24 +409,22 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
         v: deque(j for j in g.neighbors(v) if (q.labels[j] - q.labels[v]) % 4 == 1)
         for v in range(g.vertex_count)
     }
-
-    def closed_walk(start):
-        walk = [start]
-        v = start
-        while succ[v]:
-            v = succ[v].popleft()
-            walk.append(v)
-        if v != start:
+    circuit = []
+    walks = [iter((0,))]  # the walks whose vertices are still to be reached
+    while walks:
+        v = next(walks[-1], None)
+        if v is None:
+            walks.pop()
+            continue
+        circuit.append(v)
+        walk = []
+        w = v
+        while succ[w]:
+            w = succ[w].popleft()
+            walk.append(w)
+        if w != v:
             raise AssertionError("walk stalled away from its start vertex")
-        return walk
-
-    circuit = closed_walk(0)
-    remaining = g.edge_count - (len(circuit) - 1)
-    while remaining > 0:
-        i = next(idx for idx, v in enumerate(circuit) if succ[v])
-        sub = closed_walk(circuit[i])
-        circuit = circuit[:i] + sub + circuit[i + 1 :]
-        remaining -= len(sub) - 1
+        walks.append(iter(walk))
     return EulerCircuit(tuple(circuit))
 
 

@@ -107,11 +107,7 @@ def edge_pair_perturbation(g: Graph, q: QuarterLabeling, c: EulerCircuit, x: flo
         raise ValueError("x must be finite")
     if circuit_to_phases(g, c, q.base).labels != q.labels:
         raise ValueError("circuit does not realize the given labeling")
-    j, k = c.vertices[0], c.vertices[1]
-    theta = q.phases()
-    theta[j] += x
-    theta[k] -= x
-    return phase_vector(theta)
+    return phase_vector(q.phases() + x * edge_pair_direction(g, c))
 
 
 def energy_gap_identical(g: Graph, q: QuarterLabeling, c: EulerCircuit, x: float) -> float:

@@ -215,7 +215,8 @@ def is_eulerian(g: Graph) -> EulerianResult:
     k = _odd_vertex(g)
     if k is not None:
         return EulerianResult(False, f"vertex {k} has odd degree {g.degree(k)}", k)
-    edged = [c for c in connected_components(g) if any(g.degree(v) for v in c)]
+    # a component has an edge iff it has two vertices; each order starts at its smallest
+    edged = [order for order in _bfs_forest(g)[0] if len(order) > 1]
     if len(edged) > 1:
         a, b = edged[0][0], edged[1][0]
         return EulerianResult(

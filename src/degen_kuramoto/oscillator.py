@@ -239,11 +239,13 @@ def classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:
     """Label each edge short / long / critical by its endpoint phase distance.
 
     An edge is critical when the circular distance is within tol of pi/2,
-    short below that band, long above it.
+    short below that band, long above it. A non-finite phase is rejected.
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = _check_state(sys, theta)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("state must be finite")
     d = circular_distance(theta[sys._edge_u], theta[sys._edge_v])
     labels = np.where(abs(d - HALF_PI) <= tol, "critical", np.where(d < HALF_PI, "short", "long"))
     return dict(zip(sys.graph.edges, labels.tolist()))

@@ -301,6 +301,37 @@ def random_euler_circuit(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(circuit)
 
 
+def reference_phases_to_circuit(g: Graph, q: QuarterLabeling) -> tuple[tuple[int, ...], int]:
+    """The splice loop `phases_to_circuit` ran before its one-pass walk, for a
+    connected graph and an exact CDE: a greedy closed walk from vertex 0, then
+    a closed sub-walk spliced in at the earliest walk vertex with unused edges
+    until none is left. Returns the circuit and the number of splices."""
+    succ = {
+        v: deque(j for j in g.neighbors(v) if (q.labels[j] - q.labels[v]) % 4 == 1)
+        for v in range(g.vertex_count)
+    }
+
+    def closed_walk(start):
+        walk = [start]
+        v = start
+        while succ[v]:
+            v = succ[v].popleft()
+            walk.append(v)
+        assert v == start, "walk stalled away from its start vertex"
+        return walk
+
+    circuit = closed_walk(0)
+    remaining = g.edge_count - (len(circuit) - 1)
+    splices = 0
+    while remaining > 0:
+        i = next(idx for idx, v in enumerate(circuit) if succ[v])
+        sub = closed_walk(circuit[i])
+        circuit = circuit[:i] + sub + circuit[i + 1 :]
+        remaining -= len(sub) - 1
+        splices += 1
+    return tuple(circuit), splices
+
+
 def _reference_exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):
     room = {u: [g.degree(u) // 2] * 2 for v in side for u in g.neighbors(v)}
     chosen = []
@@ -453,6 +484,17 @@ def reference_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) ->
         lift[i] = y
     times = dt * np.arange(steps + 1)
     return SimulationTrace(times, _wrap(lift), reference_trace_energies(sys, lift))
+
+
+def reference_simulate_csv(trace: SimulationTrace, vertex_count: int) -> str:
+    """The CSV `simulate` printed with its per-row f-string loop."""
+    lines = ["t," + ",".join(f"theta_{k}" for k in range(vertex_count)) + ",E"]
+    for i in range(trace.times.shape[0]):
+        row = [f"{trace.times[i]:.17g}"]
+        row += [f"{x:.17g}" for x in trace.states[i]]
+        row.append(f"{trace.energies[i]:.17g}")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def reference_trace_energies(sys: OscillatorSystem, lift: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degen_kuramoto
@@ -175,6 +176,55 @@ def test_simulate_csv_shape(capsys, c4_file, tmp_path):
     assert len(lines) == 52  # header + steps + 1
     energies = [float(row.split(",")[-1]) for row in lines[1:]]
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+def test_simulate_csv_matches_the_row_loop(capsys, tmp_path):
+    from degen_kuramoto import Graph, OscillatorSystem, integrate
+    from helpers import random_graph, reference_simulate_csv
+
+    rng = np.random.default_rng(31)
+    path = tmp_path / "doc.json"
+    for i in range(150):
+        g = random_graph(int(rng.integers(0, 9)), 0.5, rng) if i % 25 else Graph(0)
+        n = g.vertex_count
+        doc = {"format": "degen-kuramoto/1", "vertices": [f"v{k}" for k in range(n)],
+               "edges": [list(e) for e in g.edges],
+               "phases": rng.uniform(-10.0, 10.0, n).tolist()}
+        if i % 2:  # negative frequencies carry lifts below 0
+            doc["frequencies"] = rng.normal(0.0, 2.0, n).tolist()
+            doc["coupling"] = float(rng.uniform(0.1, 3.0))
+        path.write_text(json.dumps(doc))
+        dt, steps = float(rng.uniform(1e-3, 0.2)), int(rng.integers(1, 30))
+        code, out, err = run(capsys, "simulate", "--input", str(path), "--dt", repr(dt),
+                             "--steps", str(steps))
+        assert (code, err) == (0, "")
+        sys_ = OscillatorSystem(g, doc.get("coupling", 1.0), doc.get("frequencies"))
+        assert out == reference_simulate_csv(integrate(sys_, doc["phases"], dt, steps), n), doc
+
+
+def _circuit_stdout_digest(capsys, tmp_path, g, q) -> str:
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+    code, out, _ = run(capsys, "circuit", "--input", str(path),
+                       "--labels", ",".join(map(str, q.labels)))
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_circuit_labels_prints_the_pinned_spliced_circuits(capsys, tmp_path):
+    # both circuits need closed sub-walks spliced in; digests of the splice loop's output
+    from degen_kuramoto import cycle_graph, enumerate_cdes, glue_four_cycle, hypercube_graph
+    from helpers import reference_phases_to_circuit
+
+    q6 = hypercube_graph(6)
+    chain = glue_four_cycle(glue_four_cycle(glue_four_cycle(cycle_graph(8), 3), 1), 5)
+    cases = [(q6, enumerate_cdes(q6)[4321],
+              "353301eff4bbf48050b2235c7004642ce0ba651cb397fe3f9d255a69c4018120"),
+             (chain, enumerate_cdes(chain)[-2],
+              "39f6c2f845a6652e9e0a54b288b7bd2544c931b1596411ee150c17ecf7aa66fd")]
+    for g, q, digest in cases:
+        assert reference_phases_to_circuit(g, q)[1] > 0
+        assert _circuit_stdout_digest(capsys, tmp_path, g, q) == digest
 
 
 def test_simulate_seeded_random_start(capsys, c4_file):

@@ -32,6 +32,7 @@ from degen_kuramoto import (
 )
 from degen_kuramoto import degeneracy, graphs
 from helpers import (
+    _connected,
     all_connected_graphs,
     brute_force_cdes,
     random_bipartite_graph,
@@ -41,6 +42,7 @@ from helpers import (
     random_graph,
     reference_admits_cde,
     reference_enumerate_cdes,
+    reference_phases_to_circuit,
 )
 
 HALF_PI = np.pi / 2
@@ -434,6 +436,34 @@ def test_phases_to_circuit_rejects_bad_input():
         phases_to_circuit(Graph(2), QuarterLabeling((0, 0)))
 
 
+def _glue_chain(g, vertices):
+    for k in vertices:
+        g = glue_four_cycle(g, k)
+    return g
+
+
+def test_phases_to_circuit_matches_the_splice_loop():
+    rng = np.random.default_rng(15)
+    graphs = [hypercube_graph(d) for d in range(2, 7)]
+    graphs += [cycle_graph(4 * k) for k in range(1, 5)] + [complete_bipartite_graph(4, 4)]
+    for seed in (cycle_graph(4), cycle_graph(8), complete_bipartite_graph(2, 4)):
+        graphs += [_glue_chain(seed, (k, (k + 1) % seed.vertex_count, 2 * k + 1)) for k in range(3)]
+    sampled = []
+    while len(sampled) < 200:
+        g = random_even_bipartite_graph(int(rng.integers(4, 15)), int(rng.integers(1, 8)), rng)
+        if g.edge_count and _connected(g):
+            sampled.append(g)
+    compared = spliced = 0
+    # every CDE of the fixed graphs (Q6 has 9,800), a prefix of the sampled ones
+    for g, limit in [(g, None) for g in graphs] + [(g, 20) for g in sampled]:
+        for q in enumerate_cdes(g, limit=limit):
+            want, splices = reference_phases_to_circuit(g, q)
+            assert phases_to_circuit(g, q).vertices == want, (g.edges, q.labels)
+            compared += 1
+            spliced += splices > 0
+    assert compared > 10_000 and spliced > 9_800
+
+
 def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
     rng = np.random.default_rng(4)
     cases = []
@@ -577,11 +607,15 @@ def _even_triangle_free_samples(rng, count):
     return samples
 
 
-def test_vertex_relabeling_invariance():
-    rng = np.random.default_rng(2112)
+def _relabeling_corpus(rng):
     glue_chain = glue_four_cycle(glue_four_cycle(glue_four_cycle(cycle_graph(4), 0), 0), 0)
     graphs = [cycle_graph(8), hypercube_graph(4), complete_bipartite_graph(2, 4), glue_chain]
-    graphs += _even_triangle_free_samples(rng, 10)
+    return graphs + _even_triangle_free_samples(rng, 10)
+
+
+def test_vertex_relabeling_invariance():
+    rng = np.random.default_rng(2112)
+    graphs = _relabeling_corpus(rng)
     assert any(admits_cde(g).admits for g in graphs[4:])
     assert not all(admits_cde(g).admits for g in graphs[4:])
     for g in graphs:
@@ -597,3 +631,37 @@ def test_vertex_relabeling_invariance():
                 for v, label in enumerate(q.labels):
                     labels[perm[v]] = label
                 assert is_cde(h, QuarterLabeling(tuple(labels), q.base).phases())
+
+
+def test_quarter_rotation_and_reflection_map_cdes_to_cdes():
+    graphs = [g for n in range(2, 7) for g in all_connected_graphs(n)]
+    graphs += _relabeling_corpus(np.random.default_rng(2112))
+    # C4, an isolated vertex and K2,4, so each component can be rotated on its own
+    k24 = [(u + 5, v + 5) for u, v in complete_bipartite_graph(2, 4).edges]
+    graphs.append(Graph(11, list(cycle_graph(4).edges) + k24))
+    admitting = several = 0
+    for g in graphs:
+        cdes = enumerate_cdes(g)
+        if not cdes or not g.edge_count:
+            continue
+        admitting += 1
+        edged = [c for c in connected_components(g) if len(c) > 1]
+        several += len(edged) > 1
+        component = {v: i for i, c in enumerate(edged) for v in c}
+        per_component = [0] * len(edged)
+        for u, _ in g.edges:
+            per_component[component[u]] += 1
+        assert all(m % 4 == 0 for m in per_component), (g.edges, per_component)
+        # reflection l -> -l keeps each component's smallest vertex at 0, so it permutes the list
+        listed = {q.labels for q in cdes}
+        assert {tuple(-l % 4 for l in labels) for labels in listed} == listed
+        for labels in listed:
+            for r in (1, 2, 3):
+                rotated = tuple((l + r) % 4 for l in labels)
+                assert is_cde(g, QuarterLabeling(rotated).phases()), (g.edges, labels, r)
+                for c in edged:
+                    one = list(labels)
+                    for v in c:
+                        one[v] = (one[v] + r) % 4
+                    assert is_cde(g, QuarterLabeling(tuple(one)).phases()), (g.edges, labels, c)
+    assert admitting >= 20 and several >= 1

@@ -223,6 +223,16 @@ def test_classify_edges_rejects_negative_or_nan_tolerance():
             classify_edges(c4, C4_CDE, tol=tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_edges_rejects_a_non_finite_phase(bad):
+    # NaN fails both the critical and the short test, so its edges would read "long"
+    c4 = OscillatorSystem.identical(cycle_graph(4))
+    theta = C4_CDE.copy()
+    theta[1] = bad
+    with pytest.raises(ValueError, match="^state must be finite$"):
+        classify_edges(c4, theta)
+
+
 def test_all_critical_edges_means_zero_jacobian():
     # the glued 7-vertex example: all critical edges, Jacobian vanishes
     from degen_kuramoto import enumerate_cdes, glue_four_cycle
@@ -358,7 +368,8 @@ def test_array_formulas_match_the_scalar_loops_bit_for_bit():
         assert colors == reference_vertex_colors(phases, tol), (theta, tol)
         seen["hue"] += colors[1]
         seen["palette"] += not colors[1]
-        # a NaN phase is "long" on each of its edges, as it was edge by edge
+        # a NaN phase is rejected, not labelled "long" on each of its edges
         theta[::3] = np.nan
-        assert classify_edges(sys_, theta, tol) == reference_classify_edges(sys_, theta, tol)
+        with pytest.raises(ValueError, match="^state must be finite$"):
+            classify_edges(sys_, theta, tol)
     assert min(seen.values()) >= 100, seen

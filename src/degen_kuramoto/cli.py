@@ -312,7 +312,8 @@ def cli_dispatch(argv=None) -> int:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError, RuntimeError) as exc:  # BudgetExceededError is a RuntimeError
+    # BudgetExceededError is a RuntimeError; numpy raises MemoryError for an array it cannot have
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

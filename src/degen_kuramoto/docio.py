@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph
 
 FORMAT = "degen-kuramoto/1"
@@ -83,15 +85,7 @@ def _format_float(x: float) -> str:
 
 
 def _write(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, int):
+    if type(value) is int:  # bools go on to json.dumps
         out.append(str(value))
     elif isinstance(value, float):
         out.append(_format_float(value))
@@ -102,7 +96,7 @@ def _write(value, out: list) -> None:
                 raise TypeError("document keys must be strings")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(json.dumps(key))
             out.append(":")
             _write(value[key], out)
         out.append("}")
@@ -114,7 +108,7 @@ def _write(value, out: list) -> None:
             _write(item, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(json.dumps(value))  # None, bools, strings; a TypeError for anything else
 
 
 def canonical_json(value) -> str:
@@ -135,7 +129,8 @@ def emit_json(
     coupling: float | None = None,
     report: dict | None = None,
 ) -> str:
-    """Canonical JSON document for a graph with optional attachments."""
+    """Canonical JSON document for a graph with optional attachments; they
+    must pass parse_json's checks, so that the document parses back."""
     n = g.vertex_count
     if names is None:
         names = tuple(str(k) for k in range(n))
@@ -143,38 +138,17 @@ def emit_json(
         names = tuple(str(x) for x in names)
         if len(names) != n or len(set(names)) != n:
             raise ValueError(f"need {n} distinct vertex names")
+    if base is not None and labels is None:
+        raise ValueError("base requires labels")
+    given = dict(phases=phases, labels=labels, base=base, frequencies=frequencies,
+                 coupling=coupling, report=report)
+    fields = {key: np.asarray(v).tolist() for key, v in given.items() if v is not None}
     doc: dict = {
         "format": FORMAT,
         "vertices": list(names),
         "edges": [[u, v] for u, v in g.edges],
     }
-    if phases is not None:
-        phases = [float(x) for x in phases]
-        if len(phases) != n:
-            raise ValueError(f"need {n} phases, got {len(phases)}")
-        doc["phases"] = phases
-    if labels is not None:
-        labels = [int(l) for l in labels]
-        if len(labels) != n:
-            raise ValueError(f"need {n} labels, got {len(labels)}")
-        if any(not 0 <= l <= 3 for l in labels):
-            raise ValueError("labels must lie in 0..3")
-        doc["labels"] = labels
-        doc["base"] = float(base if base is not None else 0.0)
-    elif base is not None:
-        raise ValueError("base requires labels")
-    if frequencies is not None:
-        frequencies = [float(x) for x in frequencies]
-        if len(frequencies) != n:
-            raise ValueError(f"need {n} frequencies, got {len(frequencies)}")
-        doc["frequencies"] = frequencies
-    if coupling is not None:
-        coupling = float(coupling)
-        if not coupling > 0:
-            raise ValueError("coupling must be positive")
-        doc["coupling"] = coupling
-    if report is not None:
-        doc["report"] = report
+    doc.update((key, v) for key, v in _attachments(n, fields).items() if v is not None)
     return canonical_json(doc)
 
 
@@ -224,45 +198,38 @@ def parse_json(text: str) -> GraphDocument:
             raise ValueError(f"edge {e!r} references an undeclared vertex")
         edges.append((u, v))
     g = Graph(n, edges)
+    return GraphDocument(graph=g, names=tuple(names), **_attachments(n, doc))
 
-    def float_tuple(key):
-        if key not in doc:
+
+def _attachments(n: int, fields: dict) -> dict:
+    """GraphDocument's optional fields, checked, from the decoded fields of
+    an n-vertex document; a field that is absent is None."""
+
+    def per_vertex(key, check, what):
+        if key not in fields:
             return None
-        values = doc[key]
+        values = fields[key]
         if not isinstance(values, list) or len(values) != n:
             raise ValueError(f"{key} must list one value per vertex")
-        return tuple(_number(x, key) for x in values)
+        return tuple(check(x, what) for x in values)
 
-    phases = float_tuple("phases")
-    frequencies = float_tuple("frequencies")
-    labels = None
-    base = None
-    if "labels" in doc:
-        raw = doc["labels"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ValueError("labels must list one value per vertex")
-        labels = tuple(_integer(l, "label") for l in raw)
+    phases = per_vertex("phases", _number, "phases")
+    frequencies = per_vertex("frequencies", _number, "frequencies")
+    labels = per_vertex("labels", _integer, "label")
+    base = coupling = None
+    if labels is not None:
         if any(not 0 <= l <= 3 for l in labels):
             raise ValueError("labels must lie in 0..3")
-        base = _number(doc.get("base", 0.0), "base")
-    coupling = None
-    if "coupling" in doc:
-        coupling = _number(doc["coupling"], "coupling")
+        base = _number(fields.get("base", 0.0), "base")
+    if "coupling" in fields:
+        coupling = _number(fields["coupling"], "coupling")
         if not coupling > 0:
             raise ValueError("coupling must be positive")
-    report = doc.get("report")
+    report = fields.get("report")
     if report is not None and not isinstance(report, dict):
         raise ValueError("report must be an object")
-    return GraphDocument(
-        graph=g,
-        names=tuple(names),
-        phases=phases,
-        labels=labels,
-        base=base,
-        frequencies=frequencies,
-        coupling=coupling,
-        report=report,
-    )
+    return dict(phases=phases, labels=labels, base=base, frequencies=frequencies,
+                coupling=coupling, report=report)
 
 
 def read_document(text: str) -> GraphDocument:

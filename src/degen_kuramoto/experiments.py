@@ -137,10 +137,10 @@ def rarity_experiment(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     seed = operator.index(seed)
-    keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()
     kept = _gnp_pairs(n, p)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()
     u, v = _pair_index(n)
     rows = _chunk_rows(u.size, p)
     draws = np.empty((min(rows, samples), u.size))
@@ -149,7 +149,7 @@ def rarity_experiment(
     triangles = 0
     for start in range(0, samples, rows):
         chunk = keys[start : start + rows]
-        # int32 halves the index temporaries (a row of 2**31 pairs would be 16 GB of draws)
+        # int32 halves the index temporaries; _gnp_pairs keeps C(n, 2) below 2**31
         sample, pair = np.divmod(kept(chunk, draws).astype(np.int32), u.size)
         edgeless, odd, triangle = _chunk_filters(n, sample, u[pair], v[pair], len(chunk))
         triangles += int(np.count_nonzero(triangle))

@@ -297,6 +297,8 @@ def _gnp_pairs(n: int, p: float):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > 65_536:  # from n = 65,537 on, C(n, 2) >= 2**31 overflows the int32 pair indices
+        raise ValueError(f"n must be at most 65536, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     philox = np.random.Philox()

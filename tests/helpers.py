@@ -5,12 +5,14 @@ from __future__ import annotations
 import colorsys
 import functools
 import itertools
+import json
 import math
 from collections import Counter, deque
 
 import numpy as np
 
 from degen_kuramoto import (
+    FORMAT,
     AdmitsReport,
     BudgetExceededError,
     EscapeReport,
@@ -27,6 +29,7 @@ from degen_kuramoto import (
     is_cde_nonidentical,
     phase_vector,
 )
+from degen_kuramoto.docio import _format_float
 from degen_kuramoto.experiments import BUCKETS, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
@@ -641,3 +644,93 @@ def normal_form_blowup_time(sys: OscillatorSystem, theta, direction, eta: float 
         u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t += h
     raise ValueError("the normal form does not blow up from this direction")
+
+
+def _reference_write(value, out: list) -> None:
+    """The canonical writer with one branch per JSON type, as it was before
+    the writer left non-numeric scalars to json.dumps."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=True))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_format_float(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError("document keys must be strings")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _reference_write(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_write(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_canonical_json(value) -> str:
+    out: list[str] = []
+    _reference_write(value, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def reference_emit_json(g: Graph, names=None, phases=None, labels=None, base=None,
+                        frequencies=None, coupling=None, report=None) -> str:
+    """emit_json with its own hand-written field checks and coercions, as it
+    was before it shared parse_json's; the same bytes on valid input."""
+    n = g.vertex_count
+    if names is None:
+        names = tuple(str(k) for k in range(n))
+    else:
+        names = tuple(str(x) for x in names)
+        if len(names) != n or len(set(names)) != n:
+            raise ValueError(f"need {n} distinct vertex names")
+    doc: dict = {
+        "format": FORMAT,
+        "vertices": list(names),
+        "edges": [[u, v] for u, v in g.edges],
+    }
+    if phases is not None:
+        phases = [float(x) for x in phases]
+        if len(phases) != n:
+            raise ValueError(f"need {n} phases, got {len(phases)}")
+        doc["phases"] = phases
+    if labels is not None:
+        labels = [int(l) for l in labels]
+        if len(labels) != n:
+            raise ValueError(f"need {n} labels, got {len(labels)}")
+        if any(not 0 <= l <= 3 for l in labels):
+            raise ValueError("labels must lie in 0..3")
+        doc["labels"] = labels
+        doc["base"] = float(base if base is not None else 0.0)
+    elif base is not None:
+        raise ValueError("base requires labels")
+    if frequencies is not None:
+        frequencies = [float(x) for x in frequencies]
+        if len(frequencies) != n:
+            raise ValueError(f"need {n} frequencies, got {len(frequencies)}")
+        doc["frequencies"] = frequencies
+    if coupling is not None:
+        coupling = float(coupling)
+        if not coupling > 0:
+            raise ValueError("coupling must be positive")
+        doc["coupling"] = coupling
+    if report is not None:
+        doc["report"] = report
+    return reference_canonical_json(doc)

@@ -625,6 +625,39 @@ def test_overflowing_inputs_exit_one_with_their_own_error(capsys, c4_file):
     assert (code, out, err) == (1, "", "error: coupling 1e+308 makes the frequencies non-finite\n")
 
 
+# Sizes past what the machine or the int32 pair index allows, and a cheap
+# argument error that must come before the big allocation.
+SIZE_ERRORS = [
+    (("simulate", "--input", "C4", "--phases", "0,1,0,1", "--steps", "99999999999"),
+     "error: Unable to allocate 2.91 TiB"),
+    (("simulate", "--input", "C4", "--phases", "0,1,0,1", "--steps", "200000000"),
+     "error: Unable to allocate 5.96 GiB"),
+    (("rarity", "--n", "4", "--p", "0.5", "--samples", "1000000000"),
+     "error: Unable to allocate 7.45 GiB"),
+    (("rarity", "--n", "4", "--p", "0.5", "--samples", "1000000000", "--budget", "-1"),
+     "error: budget must be nonnegative\n"),
+    (("rarity", "--n", "100000", "--p", "0.5", "--samples", "1"),
+     "error: n must be at most 65536, got 100000\n"),
+]
+
+
+@pytest.mark.parametrize("argv, error", SIZE_ERRORS)
+def test_an_oversized_request_exits_one_with_one_error_line(c4_file, tmp_path, argv, error):
+    # a child process under a 1 GiB address-space limit, so that no size is granted
+    pytest.importorskip("resource")
+    script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from degen_kuramoto.cli import main; main()")
+    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out_file = tmp_path / "out"
+    argv = [c4_file if a == "C4" else a for a in argv] + ["--output", str(out_file)]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_python_dash_m_runs_the_console_script(c4_file):
     src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -653,3 +686,95 @@ def test_edge_list_ids_do_not_depend_on_the_hash_seed(tmp_path):
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["vertices"] == ["01", "1", "2", "3"]
+
+
+# Flag values for the fuzz below: well-formed ones per kind, and odd ones
+# that any flag may get. Size flags draw only from small pools, so every
+# case runs in milliseconds.
+FUZZ_ODD = ["nan", "inf", "-inf", "1e400", "0x10", "٣", "0,,1", "1:2:0", "", "-1", "abc", ",",
+            "-0", "1e-320", " 1", "0,1,2,3,"]
+FUZZ_GOOD = {
+    "list": ["0,1.5707963267948966,3.141592653589793,4.71238898038469", "0,1,0,1",
+             "0.1,0.2,0.3", "1,-1,0,0", "0,0,0,0,0,0,0,0"],
+    "--labels": ["0,1,2,3", "0,3,2,1", "0,1,2,3,0,1,2,3", "0,0,0,0", "0,1,2"],
+    "--circuit": ["0,1,2,3,0", "0,3,2,1,0", "0,1,0", "0,1,2,0"],
+    float: ["0", "0.5", "1", "1e-3", "0.05", "2"],
+    int: ["0", "1", "7", "1000"],
+}
+FUZZ_SIZES = {
+    "--steps": ["0", "1", "5", "20", "٣"],
+    "--max-steps": ["0", "1", "50", "200"],
+    "--samples": ["0", "1", "20", "50"],
+    "--n": ["0", "1", "4", "8", "12", "٣"],
+    "--params": ["1:4", "2,4", "0,,1", "1:2:0", "2", "0:5:2", "٣", "x"],
+}
+
+
+def _fuzz_documents():
+    from degen_kuramoto import construct_nonidentical_cde, cycle_graph, emit_json, hypercube_graph
+
+    c4 = cycle_graph(4)
+    bipartite = construct_nonidentical_cde(c4, 1.5)
+    return [
+        C4_EDGES, K3_EDGES, "a b\nb c\nc d\nd a\n", "0 1\n1 2\n", "# empty\n",
+        "".join(f"{u} {v}\n" for u, v in hypercube_graph(3).edges),
+        emit_json(c4, labels=[0, 1, 2, 3], base=0.25),
+        emit_json(c4, phases=bipartite.phases, frequencies=bipartite.frequencies,
+                  coupling=bipartite.coupling),
+        emit_json(cycle_graph(3), names="xyz", report={"bipartite": False}),
+    ]
+
+
+def _fuzz_case(rng, documents, path):
+    """One argv for a random subcommand, with its input written to path."""
+    command = str(rng.choice(sorted(CLI_SURFACE)))
+    argv = [command]
+    for flag, (_, required, kind, choices) in CLI_SURFACE[command].items():
+        if flag == "--output" or not (required or flag in FUZZ_SIZES or rng.random() < 0.4):
+            continue
+        if flag == "--input":
+            data = bytearray(documents[int(rng.integers(len(documents)))].encode())
+            for _ in range(int(rng.integers(4)) if rng.random() < 0.5 else 0):
+                at = int(rng.integers(len(data) + 1))
+                byte = (int(rng.choice(list(b'0123 \n,[]{}":.-e#'))) if rng.random() < 0.7
+                        else int(rng.integers(256)))
+                if rng.random() < 0.5 or not data:
+                    data.insert(at, byte)
+                elif rng.random() < 0.5:
+                    data[min(at, len(data) - 1)] = byte
+                else:
+                    del data[min(at, len(data) - 1)]
+            path.write_bytes(bytes(data))
+            value = str(path)
+        elif flag in FUZZ_SIZES:
+            value = str(rng.choice(FUZZ_SIZES[flag]))
+        elif rng.random() < 0.15:
+            value = str(rng.choice(FUZZ_ODD))
+        elif choices:
+            value = str(rng.choice(choices))
+        else:
+            pool = FUZZ_GOOD.get(flag) or FUZZ_GOOD.get(kind) or FUZZ_GOOD["list"]
+            value = str(rng.choice(pool))
+        argv += [flag, value]
+    return argv
+
+
+def test_fuzzed_commands_exit_cleanly(capsys, tmp_path):
+    # Seeded fuzz over all nine subcommands: mutated edge lists and JSON
+    # documents, odd flag values. Every case exits 0, 1 or 2 without an
+    # exception; exit 1 prints exactly one error line and exit 0 none.
+    rng = np.random.default_rng(2026)
+    documents = _fuzz_documents()
+    seen = set()
+    for _ in range(2_000):
+        argv = _fuzz_case(rng, documents, tmp_path / "input")
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert out == "", argv
+        elif code == 0:
+            assert err == "", (argv, err)
+        seen.add((argv[0], code))
+    # every subcommand reaches each of the three exit codes
+    assert {(command, code) for command in CLI_SURFACE for code in (0, 1, 2)} <= seen

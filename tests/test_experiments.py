@@ -303,6 +303,20 @@ def test_rarity_edgeless_and_odd_degree_counts_match_the_closed_forms(n, p):
     assert_closed_form_counts(rarity_experiment(n, p, ORACLE_SAMPLES, ORACLE_SEED))
 
 
+def test_rarity_edgeless_count_pins_p():
+    # (1 - p)^C(12, 2) = 1/2, so P(edgeless) moves with p: sampling at 1.05 p
+    # would put the count about 11 sigma below its mean of 50,000
+    n, p, samples = 12, 1 - 2 ** (-1 / 66), 100_000
+    report = rarity_experiment(n, p, samples, ORACLE_SEED)
+    assert abs(report.counts["edgeless"] - samples / 2) <= ORACLE_SIGMAS * math.sqrt(samples / 4)
+
+
+def test_rarity_rejects_n_past_the_int32_pair_index():
+    # C(65537, 2) >= 2**31; the check comes before any per-n allocation
+    with pytest.raises(ValueError, match="^n must be at most 65536, got 65537$"):
+        rarity_experiment(65537, 0.5, 1, 0)
+
+
 def test_exact_admit_tables():
     tables = {n: exact_admit_table(n) for n in range(8)}
     assert tables == {0: {}, 1: {}, 2: {}, 3: {}, 4: {4: 3}, 5: {4: 15}, 6: {4: 45, 8: 15},

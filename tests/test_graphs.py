@@ -237,6 +237,13 @@ def test_erdos_renyi_checks_n_and_p_before_the_seed():
     assert erdos_renyi(5, 0.5, 2**64).vertex_count == 5  # a new Philox takes keys below 2**128
 
 
+def test_erdos_renyi_rejects_n_past_the_int32_pair_index():
+    with pytest.raises(ValueError, match="^n must be at most 65536, got 65537$"):
+        erdos_renyi(65537, 0.5, 1)
+    with pytest.raises(ValueError, match="n must be at most 65536"):
+        erdos_renyi(10**12, 2.0, -1)  # n before p and the seed
+
+
 def test_erdos_renyi_takes_integer_seeds_only():
     # int() would truncate 1.9 to the seed 1
     for seed in (1.9, 1.0, "1"):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from degen_kuramoto import (
     read_document,
     render_svg,
 )
+
+from helpers import reference_canonical_json, reference_emit_json
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -175,3 +178,130 @@ def test_render_svg_rejects_negative_tolerance():
 
 def test_format_constant():
     assert FORMAT == "degen-kuramoto/1"
+
+
+def _random_value(rng, depth=0):
+    """A nested JSON-like value: ints up to 2**70, bools, None, floats with
+    -0.0, tiny and subnormal magnitudes, escaped and non-ASCII strings,
+    lists, tuples and dicts."""
+    kind = int(rng.integers(0, 9 if depth < 3 else 6))
+    if kind == 0:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**8]))
+    if kind == 1:
+        return bool(rng.integers(2)) if rng.random() < 0.8 else None
+    if kind == 2:
+        return float(rng.choice([0.0, -0.0, 1e-300, -1e300, 2.0**-1074, 0.1]))
+    if kind == 3:
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 4:
+        return int(rng.integers(-3, 4))
+    if kind == 5:
+        chars = list('ab"\\\n\t/é☃\U0001f600 \x00\x1f')
+        return "".join(rng.choice(chars, size=int(rng.integers(0, 6))))
+    items = [_random_value(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {str(_random_value(rng, 3)) if rng.random() < 0.5 else str(i): x
+            for i, x in enumerate(items)}
+
+
+def test_canonical_json_matches_the_one_branch_per_type_writer():
+    rng = np.random.default_rng(16)
+    for _ in range(20_000):
+        value = _random_value(rng)
+        assert canonical_json(value) == reference_canonical_json(value)
+    for bad in ({1: 0}, [{"a": {2: 0}}]):
+        with pytest.raises(TypeError, match="document keys must be strings"):
+            canonical_json(bad)
+    for bad in (object(), [1, {1, 2}], {"a": np.int64(1)}):
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+        with pytest.raises(TypeError):
+            reference_canonical_json(bad)
+    with pytest.raises(ValueError, match="non-finite float"):
+        canonical_json([1.0, float("nan")])
+
+
+def _random_emit_arguments(rng):
+    """Valid emit_json arguments, each field as a list, tuple, ndarray or
+    plain value, with and without names and base."""
+    n = int(rng.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [pair for pair in pairs if rng.random() < 0.5])
+
+    def shape(values, dtype):
+        form = int(rng.integers(3))
+        return (list(values), tuple(values), np.array(values, dtype=dtype))[form]
+
+    kwargs = {}
+    if rng.random() < 0.5:
+        kwargs["names"] = shape([f"v{k}" if rng.random() < 0.5 else k for k in range(n)], object)
+    if rng.random() < 0.5:
+        kwargs["phases"] = shape(rng.normal(size=n) * 10.0 ** rng.integers(-5, 5), float)
+    if rng.random() < 0.5:
+        labels = rng.integers(0, 4, size=n)
+        kwargs["labels"] = shape(labels.astype(float) if rng.random() < 0.3 else labels, None)
+        if rng.random() < 0.5:
+            kwargs["base"] = (0.25, 3, np.float64(-0.0), 1e-300)[int(rng.integers(4))]
+    if rng.random() < 0.5:
+        kwargs["frequencies"] = shape(rng.integers(-3, 4, size=n) if rng.random() < 0.3
+                                      else rng.normal(size=n), None)
+    if rng.random() < 0.5:
+        kwargs["coupling"] = (2, 0.5, np.float64(1e-9), 1e300)[int(rng.integers(4))]
+    if rng.random() < 0.5:
+        kwargs["report"] = {"r": _random_value(rng), "n": n}
+    return g, kwargs
+
+
+def test_emit_json_matches_the_hand_checked_emitter_on_valid_input():
+    rng = np.random.default_rng(61)
+    for _ in range(3_000):
+        g, kwargs = _random_emit_arguments(rng)
+        text = emit_json(g, **kwargs)
+        assert text == reference_emit_json(g, **kwargs)
+        doc = parse_json(text)
+        fields = {key: getattr(doc, key) for key in kwargs if key != "names"}
+        assert emit_json(doc.graph, names=doc.names, **fields) == text
+
+
+# Field values that emit_json truncated, coerced or wrote unreadable;
+# parse_json refused each of them with the same error.
+NEWLY_REJECTED = {
+    "fractional label": ({"labels": [0, 1.9, 2, 3]}, "label must be an integer, got 1.9"),
+    "list report": ({"report": [1, 2]}, "report must be an object"),
+    "string phases": ({"phases": ["0.5", "0", "0", "0"]},
+                      "phases must be a finite number, got '0.5'"),
+    "bool coupling": ({"labels": [0, 1, 2, 3], "coupling": True},
+                      "coupling must be a finite number, got True"),
+    "bool labels": ({"labels": [False, True, False, True]},
+                    "label must be an integer, got False"),
+    "string coupling": ({"labels": [0, 1, 2, 3], "coupling": "2"},
+                        "coupling must be a finite number, got '2'"),
+}
+
+
+@pytest.mark.parametrize("fields, message", NEWLY_REJECTED.values(), ids=NEWLY_REJECTED.keys())
+def test_emit_json_rejects_what_parse_json_rejects(fields, message):
+    g = cycle_graph(4)
+    with pytest.raises(ValueError) as emitted:
+        emit_json(g, **fields)
+    assert str(emitted.value) == message
+    document = json.loads(emit_json(g))
+    document.update(fields)
+    with pytest.raises(ValueError) as parsed:
+        parse_json(json.dumps(document))
+    assert str(parsed.value) == message
+
+
+def test_emit_json_rejects_iterators_and_ragged_fields():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="phases must list one value per vertex"):
+        emit_json(g, phases=iter([0.0, 0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="frequencies must list one value per vertex"):
+        emit_json(g, frequencies=[0.0, 0.1, 0.2])
+    with pytest.raises(ValueError):
+        emit_json(g, phases=[0.0, [0.1], 0.2, 0.3])
+    with pytest.raises(ValueError, match="base requires labels"):
+        emit_json(g, base=0.5)

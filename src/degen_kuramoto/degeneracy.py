@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, _bfs_forest, _odd_cycle, _odd_vertex, contains_triangle,
-                     is_bipartite)
+from .graphs import (Graph, _bfs_forest, _edge_rows, _odd_cycle, _odd_vertex,
+                     contains_triangle, is_bipartite)
 from .oscillator import HALF_PI, OscillatorSystem, _wrap, phase_vector, signed_gap, vector_field
 
 __all__ = [
@@ -157,37 +157,34 @@ class CircuitLabelConflictError(ValueError):
 
 
 def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
-    """Check the zero-Jacobian equilibrium criterion vertex by vertex.
+    """Check the zero-Jacobian equilibrium criterion on both directions of each edge.
 
-    Every neighbor of k must sit at theta_k +- pi/2 (within tol) and the
-    two offsets must occur equally often.
+    Every neighbor of k must sit at theta_k +- pi/2 (within tol, +pi/2
+    tested first) and the two offsets must occur equally often. The verdict
+    names the smallest failing vertex, at its smallest bad neighbor if any.
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = phase_vector(theta, g.vertex_count)
-    for k in range(g.vertex_count):
-        plus = minus = 0
-        for j in g.neighbors(k):
-            gap = signed_gap(theta[j], theta[k])
-            if abs(gap - HALF_PI) <= tol:
-                plus += 1
-            elif abs(gap + HALF_PI) <= tol:
-                minus += 1
-            else:
-                e = (k, j) if k < j else (j, k)
-                return CdeVerdict(
-                    False,
-                    f"edge {e}: phase gap {gap:.6g} is not +-pi/2 within {tol:g}",
-                    vertex=k,
-                    edge=e,
-                )
-        if plus != minus:
-            return CdeVerdict(
-                False,
-                f"vertex {k}: {plus} neighbors at +pi/2 vs {minus} at -pi/2",
-                vertex=k,
-            )
-    return CdeVerdict(True)
+    rows = _edge_rows(g)
+    k, j = np.hstack((rows, rows[::-1]))  # neighbor j[i] of k[i]: each edge, then each reversed
+    gap = signed_gap(theta[j], theta[k])
+    plus = abs(gap - HALF_PI) <= tol
+    minus = ~plus & (abs(gap + HALF_PI) <= tol)
+    bad = ~(plus | minus)
+    plus_n, minus_n, bad_n = (np.bincount(k[m], minlength=theta.size) for m in (plus, minus, bad))
+    failing = np.flatnonzero((bad_n > 0) | (plus_n != minus_n))
+    if not failing.size:
+        return CdeVerdict(True)
+    first = failing[0].item()
+    at = np.flatnonzero(bad & (k == first))
+    if at.size:
+        i = at[np.argmin(j[at])]
+        e = g.edges[i % g.edge_count]
+        reason = f"edge {e}: phase gap {gap[i]:.6g} is not +-pi/2 within {tol:g}"
+        return CdeVerdict(False, reason, vertex=first, edge=e)
+    reason = f"vertex {first}: {plus_n[first]} neighbors at +pi/2 vs {minus_n[first]} at -pi/2"
+    return CdeVerdict(False, reason, vertex=first)
 
 
 def is_cde_nonidentical(
@@ -277,6 +274,14 @@ def _exact_half_assignments(g: Graph, side, pin_first, used, budget, limit):
     return sols, used
 
 
+def _nonnegative(value, what: str) -> int:
+    """A search budget or limit: an integer (a float raises TypeError), nonnegative."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return value
+
+
 def _side_split(g: Graph, budget: int, limit: int | None):
     """The BFS forest of g, then each side's exact-half solutions (at most `limit`).
 
@@ -285,13 +290,9 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     or is None when an odd degree, a same-side edge or a side without
     solutions rules out every CDE. Budget errors as in enumerate_cdes.
     """
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    budget = _nonnegative(budget, "budget")
     if limit is not None:
-        limit = operator.index(limit)
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
+        limit = _nonnegative(limit, "limit")
     forest = orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None or _odd_vertex(g) is not None:
         return forest, None
@@ -506,8 +507,7 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
     odd degree refutes, then a triangle, then non-bipartiteness; otherwise
     the side split, on the same BFS, decides. Raises BudgetExceededError.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    budget = _nonnegative(budget, "budget")
     if g.edge_count == 0:
         return AdmitsReport(True, "edgeless", edgeless=True)
     k = _odd_vertex(g)

@@ -132,17 +132,14 @@ def emit_json(
     """Canonical JSON document for a graph with optional attachments; they
     must pass parse_json's checks, so that the document parses back."""
     n = g.vertex_count
-    if names is None:
-        names = tuple(str(k) for k in range(n))
-    else:
-        names = tuple(str(x) for x in names)
-        if len(names) != n or len(set(names)) != n:
-            raise ValueError(f"need {n} distinct vertex names")
+    names = tuple(map(str, range(n) if names is None else names))
+    if len(names) != n or len(set(names)) != n:
+        raise ValueError(f"need {n} distinct vertex names")
     if base is not None and labels is None:
         raise ValueError("base requires labels")
     given = dict(phases=phases, labels=labels, base=base, frequencies=frequencies,
                  coupling=coupling, report=report)
-    fields = {key: np.asarray(v).tolist() for key, v in given.items() if v is not None}
+    fields = {key: _plain(v) for key, v in given.items() if v is not None}
     doc: dict = {
         "format": FORMAT,
         "vertices": list(names),
@@ -150,6 +147,13 @@ def emit_json(
     }
     doc.update((key, v) for key, v in _attachments(n, fields).items() if v is not None)
     return canonical_json(doc)
+
+
+def _plain(value):
+    """numpy values as Python values, also inside a list or tuple; nothing else coerced."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(x) if isinstance(x, np.generic) else x for x in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _integer(value, what: str) -> int:

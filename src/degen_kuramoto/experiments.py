@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import BudgetExceededError, _count_cdes, admits_cde
+from .degeneracy import BudgetExceededError, _count_cdes, _nonnegative, admits_cde
 from .graphs import (
     Graph,
     _gnp_pairs,
@@ -138,8 +138,7 @@ def rarity_experiment(
         raise ValueError("samples must be at least 1")
     seed = operator.index(seed)
     kept = _gnp_pairs(n, p)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    budget = _nonnegative(budget, "budget")
     keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()
     u, v = _pair_index(n)
     rows = _chunk_rows(u.size, p)

@@ -28,19 +28,19 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on dense vertex ids 0..N-1.
 
-    Edges are normalized to sorted (u, v) pairs with u < v; self-loops and
-    parallel edges are rejected at construction.
+    Ids are read with operator.index (a float raises TypeError). Edges become
+    sorted pairs (u, v) with u < v, duplicates collapse, a self-loop is rejected.
     """
 
     __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, vertex_count: int, edges=()):
-        n = int(vertex_count)
+        n = operator.index(vertex_count)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         canonical = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)
             lo, hi = (u, v) if u < v else (v, u)
             if not 0 <= lo < hi < n:
                 if u == v:
@@ -96,9 +96,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 matrix with zero diagonal."""
         a = np.zeros((self._n, self._n))
-        for u, v in self._edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = _edge_rows(self)
+        a[u, v] = a[v, u] = 1.0
         return a
 
     def _check_vertex(self, k) -> None:
@@ -115,6 +114,11 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertices={self._n}, edges={len(self._edges)})"
+
+
+def _edge_rows(g: Graph) -> np.ndarray:
+    """g's edges as C-contiguous int64 rows u < v: the field bincounts them in each RK4 stage."""
+    return np.array(g.edges, dtype=np.int64).reshape(-1, 2).T.copy()
 
 
 def _bfs_forest(g: Graph):
@@ -172,19 +176,16 @@ def is_bipartite(g: Graph) -> BipartitenessResult:
     _, parent, side, conflict = _bfs_forest(g)
     if conflict is not None:
         return BipartitenessResult(None, _odd_cycle(parent, *conflict))
-    zeros = tuple(v for v in range(g.vertex_count) if side[v] == 0)
-    ones = tuple(v for v in range(g.vertex_count) if side[v] == 1)
-    return BipartitenessResult((zeros, ones), None)
+    parts = tuple(tuple(v for v, s in enumerate(side) if s == bit) for bit in (0, 1))
+    return BipartitenessResult(parts, None)
 
 
 def _odd_cycle(parent, u, v) -> tuple[int, ...]:
     """Close the BFS-tree paths of the conflict edge (u, v) into an odd cycle."""
-    path_u = [u]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    path_v = [v]
-    while parent[path_v[-1]] != -1:
-        path_v.append(parent[path_v[-1]])
+    path_u, path_v = [u], [v]
+    for path in (path_u, path_v):
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
     in_u = {x: i for i, x in enumerate(path_u)}
     meet = next(i for i, x in enumerate(path_v) if x in in_u)
     lca = path_v[meet]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _edge_rows
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -66,14 +66,11 @@ def circular_distance(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def signed_gap(a: float, b: float) -> float:
-    """a - b reduced to (-pi, pi]."""
-    d = math.fmod(a - b, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d <= -math.pi:
-        d += TWO_PI
-    return d
+def signed_gap(a, b):
+    """a - b reduced to (-pi, pi]. Works elementwise on arrays; a float for scalars."""
+    d = np.fmod(np.asarray(a, dtype=float) - b, TWO_PI)
+    d = np.where(d > math.pi, d - TWO_PI, np.where(d <= -math.pi, d + TWO_PI, d))
+    return d if d.ndim else float(d)
 
 
 class OscillatorSystem:
@@ -102,8 +99,7 @@ class OscillatorSystem:
         self.coupling = coupling
         self.frequencies = omega
         self.frequencies.setflags(write=False)
-        # C-contiguous rows: _field_fn bincounts them in every RK4 stage
-        self._edge_u, self._edge_v = np.array(graph.edges, dtype=int).reshape(-1, 2).T.copy()
+        self._edge_u, self._edge_v = _edge_rows(graph)
 
     @classmethod
     def identical(cls, graph: Graph) -> "OscillatorSystem":

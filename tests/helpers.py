@@ -15,6 +15,7 @@ from degen_kuramoto import (
     FORMAT,
     AdmitsReport,
     BudgetExceededError,
+    CdeVerdict,
     EscapeReport,
     Graph,
     NonFiniteStateError,
@@ -561,6 +562,55 @@ def reference_is_cde_nonidentical(sys: OscillatorSystem, theta, tol: float = 1.0
                 ratios_integral=integral,
             )
     return NonidenticalVerdict(True, frequency_ratios=ratios, ratios_integral=integral)
+
+
+def reference_signed_gap(a: float, b: float) -> float:
+    """`signed_gap` as it ran on scalars only, through math.fmod."""
+    d = math.fmod(a - b, TWO_PI)
+    if d > math.pi:
+        d -= TWO_PI
+    elif d <= -math.pi:
+        d += TWO_PI
+    return d
+
+
+def reference_is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
+    """`is_cde` as it ran with one scalar gap per (vertex, neighbor) pair."""
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    theta = phase_vector(theta, g.vertex_count)
+    for k in range(g.vertex_count):
+        plus = minus = 0
+        for j in g.neighbors(k):
+            gap = reference_signed_gap(theta[j], theta[k])
+            if abs(gap - HALF_PI) <= tol:
+                plus += 1
+            elif abs(gap + HALF_PI) <= tol:
+                minus += 1
+            else:
+                e = (k, j) if k < j else (j, k)
+                return CdeVerdict(
+                    False,
+                    f"edge {e}: phase gap {gap:.6g} is not +-pi/2 within {tol:g}",
+                    vertex=k,
+                    edge=e,
+                )
+        if plus != minus:
+            return CdeVerdict(
+                False,
+                f"vertex {k}: {plus} neighbors at +pi/2 vs {minus} at -pi/2",
+                vertex=k,
+            )
+    return CdeVerdict(True)
+
+
+def reference_adjacency_matrix(g: Graph) -> np.ndarray:
+    """`Graph.adjacency_matrix` as it ran with one store per edge end."""
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
 
 
 def reference_vertex_colors(theta: np.ndarray, tol: float) -> tuple[list[str], bool]:

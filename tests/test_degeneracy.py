@@ -374,6 +374,12 @@ def test_negative_tolerance_and_budget_are_rejected():
             search(c4, budget=-1)
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             search(Graph(3, [(0, 1), (1, 2)]), budget=-1)  # decided before any search
+        # int() truncated 5.9 to a budget of 5 and -0.5 to 0; NaN and inf failed in the conversion
+        for budget in (5.9, -0.5, float("nan"), float("inf")):
+            for g in (c4, Graph(3), cycle_graph(5)):
+                with pytest.raises(TypeError):
+                    search(g, budget=budget)
+        assert search(c4, budget=np.int64(50))
     # a zero budget stays legal: graphs without edges need no search nodes
     assert [q.labels for q in enumerate_cdes(Graph(3), budget=0)] == [(0, 0, 0)]
     assert admits_cde(Graph(3), budget=0).edgeless

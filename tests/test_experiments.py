@@ -269,6 +269,13 @@ def test_negative_budget_is_rejected():
         rarity_experiment(6, 0.5, 3, seed=0, budget=-1)
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         family_sweep("cycle", [4], budget=-1)
+    for budget in (5.9, -0.5, float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            rarity_experiment(6, 0.5, 3, seed=0, budget=budget)
+        with pytest.raises(TypeError):
+            rarity_experiment(2, 0.5, 3, seed=0, budget=budget)  # no sample reaches admits_cde
+        with pytest.raises(TypeError):
+            family_sweep("cycle", [4], budget=budget)
 
 
 # --- exact rarity oracles -------------------------------------------------------

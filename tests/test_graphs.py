@@ -28,6 +28,11 @@ def test_graph_normalizes_and_validates():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1)
+    # int() read these as Graph(4, [(0, 1), (2, 3)]), Graph(4) and Graph(4, [(0, 1)])
+    for n, edges in ((4, [(0, 1.5), (2.9, 3)]), (4.7, ()), (4.0, ()), (4, [(0, "1")])):
+        with pytest.raises(TypeError):
+            Graph(n, edges)
+    assert Graph(np.int64(4), [(np.uint8(3), np.int32(0))]).edges == ((0, 3),)
 
 
 def test_graph_edge_input_order_and_type_do_not_matter():

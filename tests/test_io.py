@@ -279,6 +279,9 @@ NEWLY_REJECTED = {
                     "label must be an integer, got False"),
     "string coupling": ({"labels": [0, 1, 2, 3], "coupling": "2"},
                         "coupling must be a finite number, got '2'"),
+    "bool among label ints": ({"labels": [0, True, 2, 3]}, "label must be an integer, got True"),
+    "string among phase ints": ({"phases": [0, "0.5", 0, 0]},
+                                "phases must be a finite number, got '0.5'"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from degen_kuramoto import (
     HALF_PI,
+    CdeVerdict,
     Graph,
     OscillatorSystem,
     circular_distance,
@@ -20,9 +21,11 @@ from degen_kuramoto import (
     hypercube_graph,
     integrate,
     is_bipartite,
+    is_cde,
     is_cde_nonidentical,
     jacobian,
     phase_vector,
+    signed_gap,
     symmetric_eigenvalues,
     vector_field,
 )
@@ -30,10 +33,13 @@ from degen_kuramoto.render import _vertex_colors
 from helpers import (
     _reference_field,
     random_connected_graph,
+    reference_adjacency_matrix,
     reference_classify_edges,
     reference_energy,
     reference_integrate,
+    reference_is_cde,
     reference_is_cde_nonidentical,
+    reference_signed_gap,
     reference_vertex_colors,
     symmetric_2x2_eigs,
     symmetric_3x3_eigs,
@@ -52,6 +58,19 @@ def test_phase_vector_canonicalizes():
         phase_vector([np.nan])
     with pytest.raises(ValueError):
         phase_vector([0.0, 1.0], vertex_count=3)
+
+
+def test_signed_gap_is_elementwise_and_keeps_the_scalar_bits():
+    rng = np.random.default_rng(17)
+    lattice = np.arange(-8, 9) * HALF_PI  # multiples of pi/2, exactly pi and -pi among them
+    a = np.concatenate((rng.uniform(-20.0, 20.0, 500), lattice, lattice + 1e-12))
+    b = np.concatenate((rng.uniform(-20.0, 20.0, 500), np.zeros(2 * lattice.size)))
+    want = [reference_signed_gap(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(_bits(signed_gap(a, b)), _bits(want))
+    for x, y, w in zip(a.tolist(), b.tolist(), want):
+        for gap in (signed_gap(x, y), signed_gap(np.float64(x), np.float64(y))):
+            assert type(gap) is float and _bits(gap) == _bits(w)
+    assert signed_gap(np.pi, 0.0) == signed_gap(-np.pi, 0.0) == np.pi
 
 
 def test_circular_distance():
@@ -348,7 +367,8 @@ def _differential_cases(count: int):
 
 def test_array_formulas_match_the_scalar_loops_bit_for_bit():
     seen = {"short": 0, "long": 0, "critical": 0, "ok": 0, "edge": 0, "vertex": 0,
-            "palette": 0, "hue": 0}
+            "palette": 0, "hue": 0, "cde ok": 0, "cde edge": 0, "cde vertex": 0, "pi gap": 0}
+    wide = 0
     for sys_, theta, tol in _differential_cases(4000):
         labels = classify_edges(sys_, theta, tol)
         assert labels == reference_classify_edges(sys_, theta, tol), (sys_, theta, tol)
@@ -368,8 +388,18 @@ def test_array_formulas_match_the_scalar_loops_bit_for_bit():
         assert colors == reference_vertex_colors(phases, tol), (theta, tol)
         seen["hue"] += colors[1]
         seen["palette"] += not colors[1]
+        g = sys_.graph
+        cde = is_cde(g, theta, tol)
+        assert cde == reference_is_cde(g, theta, tol), (g.edges, theta, tol)
+        seen["cde ok" if cde else "cde edge" if cde.edge else "cde vertex"] += 1
+        seen["pi gap"] += bool(np.any(abs(phases[sys_._edge_u] - phases[sys_._edge_v]) == np.pi))
+        wide += tol >= HALF_PI  # a gap can lie within tol of both +pi/2 and -pi/2
+        assert np.array_equal(_bits(g.adjacency_matrix()), _bits(reference_adjacency_matrix(g)))
         # a NaN phase is rejected, not labelled "long" on each of its edges
         theta[::3] = np.nan
         with pytest.raises(ValueError, match="^state must be finite$"):
             classify_edges(sys_, theta, tol)
-    assert min(seen.values()) >= 100, seen
+    assert min(seen.values()) >= 100 and wide >= 50, (seen, wide)
+    for tol in (0.0, 1.0e-9, 2.0):
+        assert is_cde(Graph(0), [], tol) == reference_is_cde(Graph(0), [], tol) == CdeVerdict(True)
+    assert Graph(0).adjacency_matrix().shape == (0, 0)

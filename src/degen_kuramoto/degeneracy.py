@@ -53,14 +53,15 @@ __all__ = [
 class QuarterLabeling:
     """Z4 labels per vertex plus a continuous base offset.
 
-    Vertex k realizes the phase base + labels[k] * pi/2 (mod 2pi).
+    Vertex k realizes the phase base + labels[k] * pi/2 (mod 2pi). Labels are
+    read with operator.index (a float raises TypeError) and stored mod 4.
     """
 
     labels: tuple[int, ...]
     base: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(l) % 4 for l in self.labels))
+        object.__setattr__(self, "labels", tuple(operator.index(l) % 4 for l in self.labels))
         base = float(self.base)
         if not math.isfinite(base):
             raise ValueError("base must be finite")
@@ -84,12 +85,15 @@ def _zero_based(labels: tuple[int, ...]) -> QuarterLabeling:
 
 @dataclass(frozen=True)
 class EulerCircuit:
-    """Closed edge walk as a vertex sequence v_0, ..., v_M with v_M = v_0."""
+    """Closed edge walk as a vertex sequence v_0, ..., v_M with v_M = v_0.
+
+    Vertices are read with operator.index (a float raises TypeError).
+    """
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        verts = tuple(int(v) for v in self.vertices)
+        verts = tuple(operator.index(v) for v in self.vertices)
         if len(verts) < 2 or verts[0] != verts[-1]:
             raise ValueError("circuit must be a closed sequence (first = last)")
         object.__setattr__(self, "vertices", verts)

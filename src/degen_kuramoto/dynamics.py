@@ -22,8 +22,8 @@ from .degeneracy import (
     is_cde_nonidentical,
 )
 from .graphs import Graph
-from .oscillator import (OscillatorSystem, _energies, _field_fn, _wrap, circular_distance, energy,
-                         phase_vector)
+from .oscillator import (OscillatorSystem, _energies, _field_fn, _row_blocks, _wrap,
+                         circular_distance, energy, phase_vector)
 
 __all__ = [
     "SimulationTrace",
@@ -78,7 +78,10 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     """Fixed-step RK4 trace of the flow from theta0.
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
-    continuous lift accumulated by the integrator.
+    continuous lift accumulated by the integrator. Memory is the
+    (steps + 1, n) lift, which is wrapped in place into `states`, plus
+    temporaries of a fixed size: the energies are summed in row blocks, bit
+    for bit the one-pass formula.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -97,8 +100,10 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     if not math.isfinite(float(dt) * steps):
         raise ValueError("dt * steps must be finite")
     times = dt * np.arange(steps + 1)
-    energies = _energies(sys, lift)  # first: its temporaries and the wrapped copy would add up
-    return SimulationTrace(times, _wrap(lift), energies)
+    energies = _energies(sys, lift)  # on the lift, before the wrap overwrites it
+    for rows in _row_blocks(*lift.shape):
+        _wrap(lift[rows], out=lift[rows])
+    return SimulationTrace(times, lift, energies)
 
 
 def edge_pair_perturbation(g: Graph, q: QuarterLabeling, c: EulerCircuit, x: float) -> np.ndarray:

@@ -236,17 +236,18 @@ def family_sweep(
     dimension), "glue-chain" (parameter = number of 4-cycles glued onto the
     seed graph at vertex 0; seeds: c4, c8, k24). Every family graph is
     connected, so when a CDE exists its Euler circuit walks all the edges:
-    circuit_length is the edge count.
+    circuit_length is the edge count. Each parameter is read with
+    operator.index (a float raises TypeError).
     """
     rows = []
-    for parameter in parameters:
-        g = _family_graph(family, int(parameter), glue_seed)
+    for parameter in map(operator.index, parameters):
+        g = _family_graph(family, parameter, glue_seed)
         report = admits_cde(g, budget=budget)
         count = _count_cdes(g, budget) if report.admits and not report.edgeless else 0
         rows.append(
             FamilySweepRow(
                 family=family,
-                parameter=int(parameter),
+                parameter=parameter,
                 vertex_count=g.vertex_count,
                 edge_count=g.edge_count,
                 admits=report.admits,

@@ -54,8 +54,8 @@ def phase_vector(values, vertex_count: int | None = None) -> np.ndarray:
     return _wrap(theta)
 
 
-def _wrap(theta: np.ndarray) -> np.ndarray:
-    out = np.mod(theta, TWO_PI)
+def _wrap(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.mod(theta, TWO_PI, out=out)
     out[out >= TWO_PI] = 0.0  # mod can round up to exactly 2pi for tiny negative inputs
     return out
 
@@ -165,12 +165,41 @@ def jacobian(sys: OscillatorSystem, theta) -> np.ndarray:
     return j
 
 
+_BLOCK_ITEMS = 1 << 16  # 512 kB of doubles per temporary of a row-blocked pass
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Row slices whose (block, width) temporaries hold about _BLOCK_ITEMS doubles.
+
+    No block has one row unless rows is 1: numpy sums a single row pairwise
+    but the rows of a taller gathered block one edge after another, so a
+    lone row would change the last bits of its energy.
+    """
+    height = max(2, _BLOCK_ITEMS // max(width, 1))
+    starts = range(0, max(rows - 1, 1), height)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], rows])]
+
+
 def _energies(sys: OscillatorSystem, states: np.ndarray) -> np.ndarray:
-    """The unchecked energy of each state, taken along the last axis."""
-    d = states[..., sys._edge_v] - states[..., sys._edge_u]
-    e = sys.coupling * np.sum(1.0 - np.cos(d), axis=-1)
+    """The unchecked energy of each state, taken along the last axis.
+
+    The edge terms are summed one block of rows at a time, so the
+    temporaries stay at a fixed size however many states there are; each
+    row's sum is the one a single pass over all rows gives, bit for bit.
+    """
+    u, v = sys._edge_u, sys._edge_v
+    grid = np.atleast_2d(states)
+    e = np.empty(grid.shape[0])
+    for rows in _row_blocks(grid.shape[0], u.shape[0]):
+        d = grid[rows, v]
+        d -= grid[rows, u]
+        np.cos(d, out=d)
+        np.subtract(1.0, d, out=d)
+        np.sum(d, axis=1, out=e[rows])
+    e *= sys.coupling
+    e = e.reshape(states.shape[:-1])
     if sys.frequencies.any():
-        e = e - states @ sys.frequencies
+        e -= states @ sys.frequencies
     return e
 
 

@@ -81,6 +81,22 @@ def test_euler_circuit_requires_closure():
     assert EulerCircuit((0, 1, 0)).length == 2
 
 
+@pytest.mark.parametrize("entries", [(0, 1.9, 2, 3), (0, 1.0, 2, 3), (np.float64(0), 1, 2, 3),
+                                     (0, "1", 2, 3)])
+def test_quarter_labels_and_circuit_vertices_must_be_integers(entries):
+    with pytest.raises(TypeError):
+        QuarterLabeling(entries)
+    with pytest.raises(TypeError):
+        EulerCircuit((*entries, entries[0]))
+
+
+def test_quarter_labels_and_circuit_vertices_take_numpy_ints_as_plain_ints():
+    q = QuarterLabeling(tuple(np.array([4, 5, -1, 2])))
+    assert q.labels == (0, 1, 3, 2) and all(type(l) is int for l in q.labels)
+    c = EulerCircuit(tuple(np.arange(4, dtype=np.int32)) + (np.int64(0),))
+    assert c.vertices == (0, 1, 2, 3, 0) and all(type(v) is int for v in c.vertices)
+
+
 def test_is_cde_examples():
     c4 = cycle_graph(4)
     assert is_cde(c4, [0, HALF_PI, np.pi, 3 * HALF_PI])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from degen_kuramoto import (
     vector_field,
     vertex_perturbation_gap,
 )
+from degen_kuramoto import oscillator
 from helpers import (
     normal_form_blowup_time,
     random_bipartite_graph,
@@ -437,6 +439,56 @@ def test_integrate_matches_the_reference_loop():
     g = random_connected_graph(7, 0.5, rng)
     sys_ = OscillatorSystem(g, 1.7, rng.normal(size=7))
     same_trace(sys_, rng.uniform(0, 2 * np.pi, 7), 1e-2, 500)
+
+
+def _block_case(name):
+    """Q4, K2,4 with its CDE frequencies, or a cycle so wide that a block is the two-row floor."""
+    rng = np.random.default_rng(1804)
+    if name == "k24":
+        g = complete_bipartite_graph(2, 4)
+        built = construct_nonidentical_cde(g, 2.0)
+        return OscillatorSystem(g, 2.0, built.frequencies), built.phases + 0.3 * rng.normal(size=6)
+    g = hypercube_graph(4) if name == "q4" else cycle_graph(2 * oscillator._BLOCK_ITEMS)
+    return OscillatorSystem.identical(g), rng.uniform(0, 2 * np.pi, g.vertex_count)
+
+
+@pytest.mark.parametrize("name", ["q4", "k24", "wide"])
+def test_integrate_matches_the_reference_across_block_boundaries(name):
+    sys_, theta0 = _block_case(name)
+    block = max(2, oscillator._BLOCK_ITEMS // sys_.graph.edge_count)
+    for steps in sorted({1, block - 1, block, block + 1, 3 * block + 7} - {0}):
+        got = integrate(sys_, theta0, 1e-3, steps)
+        want = reference_integrate(sys_, theta0, 1e-3, steps)
+        assert got.states.tobytes() == want.states.tobytes(), steps
+        assert got.energies.tobytes() == want.energies.tobytes(), steps
+
+
+@pytest.mark.parametrize("width", [0, 8, 32, 448, 40_000, 4 * oscillator._BLOCK_ITEMS])
+def test_row_blocks_cover_the_rows_and_never_leave_a_lone_row(width):
+    height = max(2, oscillator._BLOCK_ITEMS // max(width, 1))
+    for rows in (0, 1, 2, 3, height - 1, height, height + 1, height + 2, 3 * height + 7):
+        blocks = oscillator._row_blocks(rows, width)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == rows
+        assert all(b.stop - b.start >= min(2, rows) for b in blocks)
+        assert all(b.stop - b.start <= height + 1 for b in blocks)
+
+
+@pytest.mark.parametrize(("graph", "steps"), [(lambda: hypercube_graph(7), 5_000),
+                                              (lambda: cycle_graph(2000), 300),
+                                              (lambda: hypercube_graph(4), 20_000)],
+                         ids=["q7", "c2000", "q4"])
+def test_integrate_holds_the_lift_and_a_fixed_extra(graph, steps):
+    g = graph()
+    sys_ = OscillatorSystem.identical(g)
+    theta0 = np.random.default_rng(1805).uniform(0, 2 * np.pi, g.vertex_count)
+    tracemalloc.start()
+    try:
+        integrate(sys_, theta0, 1e-3, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (steps + 1) * g.vertex_count * 8 < 4_000_000
 
 
 # --- the escape law of the quadratic normal form ---

@@ -251,6 +251,18 @@ def test_family_sweep_counts_match_listing_and_brute_force():
     assert 0 in counts and max(counts) > 2
 
 
+@pytest.mark.parametrize("parameter", [4.7, 4.0, np.float64(4), "4"])
+def test_family_sweep_rejects_a_parameter_that_is_not_an_integer(parameter):
+    with pytest.raises(TypeError):
+        family_sweep("cycle", [parameter])
+
+
+def test_family_sweep_reads_numpy_int_parameters_as_plain_ints():
+    rows = family_sweep("cycle", np.array([4, 6], dtype=np.int32))
+    assert [(r.parameter, type(r.parameter)) for r in rows] == [(4, int), (6, int)]
+    assert rows == family_sweep("cycle", [4, 6])
+
+
 def test_family_sweep_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         family_sweep("petersen", [1])

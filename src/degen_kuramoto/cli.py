@@ -38,8 +38,10 @@ from .render import render_svg
 __all__ = ["cli_dispatch", "main"]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _numbers(text: str, kind) -> list:
+    """kind of each comma-separated entry; blank entries only at either end."""
+    text = text.strip(" ,")
+    return [kind(t) for t in text.split(",")] if text else []
 
 
 def _int_list(text: str) -> list[int]:
@@ -50,13 +52,13 @@ def _int_list(text: str) -> list[int]:
         if len(parts) == 3:
             return list(range(parts[0], parts[1], parts[2]))
         raise ValueError(f"bad range {text!r}; use start:stop[:step]")
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    return _numbers(text, int)
 
 
 def _doc_labeling(args, doc: GraphDocument) -> QuarterLabeling | None:
     """Quarter labeling from --labels, or the document, in that order."""
     if args.labels:
-        return QuarterLabeling(tuple(int(t) for t in args.labels.split(",")), args.base)
+        return QuarterLabeling(_numbers(args.labels, int), args.base)
     if doc.labels is not None:
         return QuarterLabeling(doc.labels, doc.base or 0.0)
     return None
@@ -66,7 +68,7 @@ def _doc_state(args, doc: GraphDocument) -> np.ndarray | QuarterLabeling | None:
     """The first phase source given: --phases, the _doc_labeling result, then
     the document's phases; None when there is none."""
     if args.phases:
-        return np.array(_float_list(args.phases))
+        return np.array(_numbers(args.phases, float))
     labeling = _doc_labeling(args, doc)
     if labeling is None and doc.phases is not None:
         return np.array(doc.phases)
@@ -83,7 +85,7 @@ def _phases(state) -> np.ndarray:
 def _doc_system(args, doc: GraphDocument) -> OscillatorSystem | None:
     """Coupling and frequencies from the flags, else the document; None if neither has any."""
     coupling = doc.coupling if args.coupling is None else args.coupling
-    freqs = _float_list(args.frequencies) if args.frequencies else doc.frequencies
+    freqs = _numbers(args.frequencies, float) if args.frequencies else doc.frequencies
     if coupling is None and freqs is None:
         return None
     return OscillatorSystem(doc.graph, 1.0 if coupling is None else coupling, freqs)
@@ -114,7 +116,7 @@ def cmd_enumerate(args, doc: GraphDocument) -> str:
 
 def cmd_circuit(args, doc: GraphDocument) -> str:
     if args.circuit:
-        circuit = EulerCircuit(tuple(int(t) for t in args.circuit.split(",")))
+        circuit = EulerCircuit(_numbers(args.circuit, int))
         labeling = circuit_to_phases(doc.graph, circuit, args.base)
         out = {
             "labels": list(labeling.labels),
@@ -163,7 +165,7 @@ def cmd_probe(args, doc: GraphDocument) -> str:
     sys_ = _doc_system(args, doc) or OscillatorSystem.identical(doc.graph)
     theta = _phases(_doc_state(args, doc))
     if args.direction:
-        direction = np.array(_float_list(args.direction))
+        direction = np.array(_numbers(args.direction, float))
     else:
         labeling = _doc_labeling(args, doc)
         if labeling is None:

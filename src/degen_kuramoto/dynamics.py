@@ -11,6 +11,7 @@ gap sin(2x) - 2 sin(x)) and shifting a single unbalanced vertex by x
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,10 @@ def vertex_perturbation_gap(sys: OscillatorSystem, theta, k: int, x: float) -> f
     and b the counts of neighbors at +pi/2 and -pi/2.
     """
     theta = np.asarray(theta, dtype=float)
+    k = operator.index(k)
     sys.graph._check_vertex(k)
+    if not np.isfinite(x):
+        raise ValueError("x must be finite")
     verdict = is_cde_nonidentical(sys, theta)
     if not verdict:
         raise ValueError(f"not a completely degenerate equilibrium: {verdict.reason}")

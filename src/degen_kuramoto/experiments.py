@@ -134,9 +134,11 @@ def rarity_experiment(
     a Graph for admits_cde, in sample order, so every tally is the one
     admits_cde gives on erdos_renyi(n, p, key).
     """
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     seed = operator.index(seed)
+    n = operator.index(n)
     kept = _gnp_pairs(n, p)
     budget = _nonnegative(budget, "budget")
     keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -47,22 +46,11 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
             canonical.add((lo, hi))
-        self._fill(n, tuple(sorted(canonical)))
-
-    @classmethod
-    def _from_sorted(cls, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-        """Graph(n, zip(u, v)) for endpoint arrays of distinct pairs u < v < n,
-        sorted; nothing is checked."""
-        g = cls.__new__(cls)
-        g._fill(n, tuple(zip(u.tolist(), v.tolist())))
-        return g
-
-    def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         self._n = n
-        self._edges = edges
+        self._edges = tuple(sorted(canonical))
         # sorted pairs fill every adjacency list in ascending order
         adj = [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in self._edges:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
@@ -281,7 +269,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     kept = _gnp_pairs(n, p)
     u, v = _pair_index(n)
     pairs = kept([operator.index(seed)], np.empty((1, u.size)))
-    return Graph._from_sorted(n, u[pairs], v[pairs])
+    return Graph(n, zip(u[pairs].tolist(), v[pairs].tolist()))
 
 
 def _gnp_pairs(n: int, p: float):
@@ -296,6 +284,7 @@ def _gnp_pairs(n: int, p: float):
     buffer used up, as in a fresh Philox(key=key). The dict holds plain
     ints, which the state setter reads faster than numpy words.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 65_536:  # from n = 65,537 on, C(n, 2) >= 2**31 overflows the int32 pair indices
@@ -323,10 +312,6 @@ def _gnp_pairs(n: int, p: float):
     return kept
 
 
-@functools.lru_cache(maxsize=8)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int32 endpoint arrays of the pairs u < v in lexicographic (row-major) order."""
-    u, v = (w.astype(np.int32) for w in np.triu_indices(n, 1))
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+    """int32 endpoint arrays of the pairs u < v in lexicographic (row-major) order."""
+    return tuple(w.astype(np.int32) for w in np.triu_indices(n, 1))

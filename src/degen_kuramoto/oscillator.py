@@ -61,9 +61,8 @@ def _wrap(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def circular_distance(a, b):
-    """Distance on the torus, in [0, pi]. Works elementwise on arrays."""
-    d = np.mod(np.abs(np.asarray(a, dtype=float) - b), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
+    """Distance on the torus, in [0, pi], as |signed_gap(a, b)|; a float for scalars."""
+    return abs(signed_gap(a, b))
 
 
 def signed_gap(a, b):
@@ -86,6 +85,8 @@ class OscillatorSystem:
         coupling = float(coupling)
         if not coupling > 0:
             raise ValueError("coupling must be positive")
+        if not math.isfinite(coupling):
+            raise ValueError("coupling must be finite")
         n = graph.vertex_count
         if frequencies is None:
             omega = np.zeros(n)

@@ -574,6 +574,12 @@ def reference_signed_gap(a: float, b: float) -> float:
     return d
 
 
+def reference_circular_distance(a, b):
+    """`circular_distance` as its own formula: |a - b| mod 2pi, folded onto [0, pi]."""
+    d = np.mod(np.abs(np.asarray(a, dtype=float) - b), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
 def reference_is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     """`is_cde` as it ran with one scalar gap per (vertex, neighbor) pair."""
     if not tol >= 0:

@@ -359,6 +359,40 @@ def test_probe_on_a_graph_with_no_vertices_exits_one(capsys, tmp_path):
     assert err == "error: graph has no vertices\n"
 
 
+# One case per comma-list flag: the argv before the flag, the flag and a valid value.
+LIST_FLAGS = [
+    (("detect", "--input", "C4"), "--phases",
+     "0,1.5707963267948966,3.141592653589793,4.71238898038469"),
+    (("detect", "--input", "C4", "--labels", "0,1,2,3"), "--frequencies", "0,0,0,0"),
+    (("probe", "--input", "C4", "--labels", "0,1,2,3", "--max-steps", "50"), "--direction",
+     "1,-1,0,0"),
+    (("detect", "--input", "C4"), "--labels", "0,1,2,3"),
+    (("circuit", "--input", "C4"), "--circuit", "0,1,2,3,0"),
+    (("sweep", "--family", "cycle"), "--params", "3,4,6"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", LIST_FLAGS, ids=[c[1] for c in LIST_FLAGS])
+def test_list_flags_allow_blank_entries_only_at_the_ends(capsys, c4_file, argv, flag, value):
+    argv = [c4_file if a == "C4" else a for a in argv]
+    code, expected, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 0 and expected and err == ""
+    for padded in ("," + value, value + ",", ", ," + value + " ,"):
+        assert run(capsys, *argv, f"{flag}={padded}") == (0, expected, ""), padded
+    head, tail = value.split(",", 1)
+    for blank in (",", ", ,"):
+        code, out, err = run(capsys, *argv, f"{flag}={head},{blank}{tail}")
+        assert code == 1 and out == "", blank
+        assert err.startswith("error: ") and err.count("\n") == 1, (blank, err)
+
+
+@pytest.mark.parametrize("command", ["detect", "probe", "simulate"])
+def test_an_infinite_coupling_exits_one(capsys, c4_file, command):
+    code, out, err = run(capsys, command, "--input", c4_file, "--labels", "0,1,2,3",
+                         "--coupling", "inf")
+    assert (code, out, err) == (1, "", "error: coupling must be finite\n")
+
+
 def test_probe_requires_direction_for_bare_phases(capsys, c4_file):
     code, _, err = run(capsys, "probe", "--input", c4_file, "--phases", "0,0,0,0")
     assert code == 1 and "direction" in err

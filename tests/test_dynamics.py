@@ -180,6 +180,19 @@ def test_vertex_perturbation_gap_requires_cde():
         vertex_perturbation_gap(sys_, np.zeros(4), 9, 0.1)
 
 
+def test_vertex_perturbation_gap_rejects_a_non_finite_x_and_a_fractional_k():
+    star = complete_bipartite_graph(1, 3)
+    res = construct_nonidentical_cde(star, coupling=1.0)
+    sys_ = OscillatorSystem(star, 1.0, res.frequencies)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            vertex_perturbation_gap(sys_, res.phases, 0, x)
+    with pytest.raises(TypeError):
+        vertex_perturbation_gap(sys_, res.phases, 1.5, 0.1)
+    assert vertex_perturbation_gap(sys_, res.phases, np.int64(0), 0.1) == (
+        vertex_perturbation_gap(sys_, res.phases, 0, 0.1))
+
+
 def test_instability_probe_escapes_cde():
     g = cycle_graph(4)
     sys_ = OscillatorSystem.identical(g)

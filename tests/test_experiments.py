@@ -142,6 +142,26 @@ def test_rarity_takes_integer_seeds_only():
         rarity_experiment(6, 0.5, 50, 1).to_dict())
 
 
+def test_rarity_reads_n_and_samples_as_integers():
+    with pytest.raises(TypeError):
+        rarity_experiment(12.0, 0.5, 5, 1)
+    with pytest.raises(TypeError):
+        rarity_experiment(12, 0.5, 5.5, 1)
+    with pytest.raises(TypeError):
+        rarity_experiment(12.0, 0.5, 5.5, 1)  # samples before n
+    with pytest.raises(ValueError, match="samples"):
+        rarity_experiment(12.0, 0.5, 0, 1)
+    with pytest.raises(TypeError):
+        rarity_experiment(12.0, 2.0, 5, 1, budget=-1)  # n before p and the budget
+    with pytest.raises(ValueError, match="p must lie"):
+        rarity_experiment(12, 2.0, 5, 1, budget=-1)  # p before the budget
+    report = rarity_experiment(np.int64(12), 0.5, np.int64(5), 1)
+    assert type(report.n) is int and type(report.samples) is int
+    assert report == rarity_experiment(12, 0.5, 5, 1)
+    assert canonical_json(report.to_dict()) == canonical_json(
+        rarity_experiment(12, 0.5, 5, 1).to_dict())
+
+
 def test_rarity_keys_one_philox_per_call(monkeypatch):
     built = []
     real = np.random.Philox

@@ -214,6 +214,15 @@ def test_erdos_renyi_matches_the_pair_list_reference():
                     assert g.neighbors(k) == tuple(sorted(nbrs[k])), (n, p, seed, k)
 
 
+def test_erdos_renyi_reads_n_as_an_integer():
+    assert erdos_renyi(True, 0.5, 1) == Graph(1)
+    for n in (True, np.int64(6)):
+        assert type(erdos_renyi(n, 0.5, 1).vertex_count) is int
+    assert erdos_renyi(np.int64(6), 0.5, 1) == erdos_renyi(6, 0.5, 1)
+    with pytest.raises(TypeError):
+        erdos_renyi(6.0, 0.5, 1)
+
+
 def test_a_rekeyed_philox_draws_like_a_fresh_one():
     for n, p in ((12, 0.5), (40, 0.1)):
         kept = graphs._gnp_pairs(n, p)

@@ -34,6 +34,7 @@ from helpers import (
     _reference_field,
     random_connected_graph,
     reference_adjacency_matrix,
+    reference_circular_distance,
     reference_classify_edges,
     reference_energy,
     reference_integrate,
@@ -79,10 +80,32 @@ def test_circular_distance():
     assert float(circular_distance(1.0, 1.0)) == 0.0
 
 
+def test_circular_distance_keeps_the_bits_of_its_own_formula():
+    rng = np.random.default_rng(23)
+    for scale in (1e-3, 1.0, 10.0, 1e3, 1e8, 1e16, 1e100, 1e300):
+        a, b = rng.uniform(-scale, scale, (2, 2000))
+        assert np.array_equal(_bits(circular_distance(a, b)),
+                              _bits(reference_circular_distance(a, b))), scale
+    # 0, +-pi, +-2pi, +-3pi, the floats next to pi and subnormals: all 256 ordered pairs
+    ends = [0.0, math.pi, 2 * math.pi, 3 * math.pi, math.nextafter(math.pi, 0.0),
+            math.nextafter(math.pi, 4.0), 5e-324, 2.2e-308]
+    grid = np.array(ends + [-x for x in ends])
+    a, b = (x.ravel() for x in np.meshgrid(grid, grid))
+    assert np.array_equal(_bits(circular_distance(a, b)), _bits(reference_circular_distance(a, b)))
+    for x, y in zip(a.tolist(), b.tolist()):
+        d = circular_distance(x, y)
+        assert type(d) is float and _bits(d) == _bits(reference_circular_distance(x, y))
+
+
 def test_system_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         OscillatorSystem(g, coupling=0.0)
+    with pytest.raises(ValueError, match="^coupling must be finite$"):
+        OscillatorSystem(g, coupling=math.inf)
+    for coupling in (-math.inf, math.nan):  # the positivity check comes first
+        with pytest.raises(ValueError, match="^coupling must be positive$"):
+            OscillatorSystem(g, coupling=coupling)
     with pytest.raises(ValueError):
         OscillatorSystem(g, frequencies=[1.0, 2.0])
     sys_ = OscillatorSystem.identical(g)

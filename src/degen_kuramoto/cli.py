@@ -154,7 +154,7 @@ def cmd_simulate(args, doc: GraphDocument) -> str:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         theta0 = rng.uniform(0.0, 2.0 * np.pi, doc.graph.vertex_count)
     trace = integrate(sys_, _phases(theta0), dt=args.dt, steps=args.steps)
-    header = "t," + ",".join(f"theta_{k}" for k in range(doc.graph.vertex_count)) + ",E"
+    header = ",".join(["t", *(f"theta_{k}" for k in range(doc.graph.vertex_count)), "E"])
     buf = io.StringIO()
     np.savetxt(buf, np.column_stack((trace.times, trace.states, trace.energies)), fmt="%.17g",
                delimiter=",", header=header, comments="")

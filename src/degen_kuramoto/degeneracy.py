@@ -232,19 +232,19 @@ def is_cde_nonidentical(
     )
 
 
-def _exact_half_assignments(g: Graph, side, pin_first, used, budget, limit):
+def _exact_half_assignments(g: Graph, side, rooms, pin_first, used, budget, limit):
     """0/1 values s for one side of a component, listed in `side` order.
 
     Every neighbor (all on the other side) must end with exactly half its
     degree at s = 1, so a branch is cut as soon as some neighbor has more
-    than half its degree in ones or in zeros. With `pin_first` the first
-    vertex only takes s = 0. Each value tried is one node added to `used`,
-    which may not pass `budget`; no node runs after the `limit`-th solution.
-    Returns (tuples aligned with `side`, used). `side` must not be empty.
+    than half its degree in ones or in zeros: rooms[s][u] counts how many
+    more neighbors u may have at s, and only the neighbors' entries are
+    read or written. With `pin_first` the first vertex only takes s = 0.
+    Each value tried is one node added to `used`, which may not pass
+    `budget`; no node runs after the `limit`-th solution. Returns (tuples
+    aligned with `side`, used). `side` must not be empty.
     """
     nbrs = [g._adj[v] for v in side]
-    half = {u: len(g._adj[u]) // 2 for vn in nbrs for u in vn}
-    rooms = (half, dict(half))  # how many more neighbors each u may have at s = 0, 1
     last = len(side) - 1
     sols, chosen, s = [], [], 0  # chosen: the s values of side[:i]; s: next to try at side[i]
     while limit != 0:
@@ -293,6 +293,11 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     order, their s solutions) for both sides of each component with an edge,
     or is None when an odd degree, a same-side edge or a side without
     solutions rules out every CDE. Budget errors as in enumerate_cdes.
+
+    All searches share one pair of room lists, indexed by vertex. A search
+    ends with its rooms restored unless a `limit` stop leaves some taken,
+    and no reset is needed then either: each (component, side) search only
+    touches the rooms of the other side of its own component.
     """
     budget = _nonnegative(budget, "budget")
     if limit is not None:
@@ -300,13 +305,15 @@ def _side_split(g: Graph, budget: int, limit: int | None):
     forest = orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None or _odd_vertex(g) is not None:
         return forest, None
+    half = [len(a) // 2 for a in g._adj]
+    rooms = (half, half.copy())  # how many more neighbors each u may have at s = 0, 1
     halves, used = [], 0
     for order in orders:
         if len(order) == 1:
             continue
         for bit in (0, 1):
             verts = [v for v in order if side[v] == bit]
-            sols, used = _exact_half_assignments(g, verts, bit == 0, used, budget, limit)
+            sols, used = _exact_half_assignments(g, verts, rooms, bit == 0, used, budget, limit)
             if not sols:
                 return forest, None
             halves.append((bit, verts, sols))
@@ -348,12 +355,11 @@ def enumerate_cdes(
         pick = 0 if stride >= k else rows // stride % len(sols)
         labels[:, verts] = bit + 2 * np.array(sols, dtype=np.int8)[pick]
         stride *= len(sols)
-    if g.vertex_count:  # np.lexsort needs at least one key
+    n = g.vertex_count
+    if n:  # np.lexsort needs at least one key
         labels = labels[np.lexsort(labels.T[::-1])]  # tuple order: column 0 first
-    results = []
-    for start in range(0, k, 1024):  # in chunks, so the row lists stay small beside the tuples
-        results += map(_zero_based, map(tuple, labels[start : start + 1024].tolist()))
-    return results
+    flat = labels.tobytes()  # labels 0..3: each byte is its own int; k empty rows when n = 0
+    return [_zero_based(tuple(flat[r * n : (r + 1) * n])) for r in range(k)]
 
 
 def _validate_circuit(g: Graph, circuit: EulerCircuit) -> None:

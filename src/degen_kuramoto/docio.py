@@ -84,6 +84,9 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_INT = frozenset((int,))
+
+
 def _write(value, out: list) -> None:
     if type(value) is int:  # bools go on to json.dumps
         out.append(str(value))
@@ -101,6 +104,9 @@ def _write(value, out: list) -> None:
             _write(value[key], out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
+        if _INT.issuperset(map(type, value)):  # only plain ints; stops at the first other item
+            out.append("[" + ",".join(map(str, value)) + "]")
+            return
         out.append("[")
         for i, item in enumerate(value):
             if i:

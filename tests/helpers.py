@@ -492,7 +492,7 @@ def reference_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) ->
 
 def reference_simulate_csv(trace: SimulationTrace, vertex_count: int) -> str:
     """The CSV `simulate` printed with its per-row f-string loop."""
-    lines = ["t," + ",".join(f"theta_{k}" for k in range(vertex_count)) + ",E"]
+    lines = [",".join(["t", *(f"theta_{k}" for k in range(vertex_count)), "E"])]
     for i in range(trace.times.shape[0]):
         row = [f"{trace.times[i]:.17g}"]
         row += [f"{x:.17g}" for x in trace.states[i]]

@@ -178,6 +178,14 @@ def test_simulate_csv_shape(capsys, c4_file, tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
+def test_simulate_on_a_graph_with_no_vertices_has_a_two_field_header(capsys, tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("")
+    code, out, err = run(capsys, "simulate", "--input", str(path), "--steps", "2",
+                         "--phases", ",")
+    assert (code, out, err) == (0, "t,E\n0,0\n0.001,0\n0.002,0\n", "")
+
+
 def test_simulate_csv_matches_the_row_loop(capsys, tmp_path):
     from degen_kuramoto import Graph, OscillatorSystem, integrate
     from helpers import random_graph, reference_simulate_csv

@@ -307,6 +307,41 @@ def test_side_split_matches_the_separate_searches():
                     "budget exceeded"}
 
 
+def test_room_lists_shared_across_side_searches(monkeypatch):
+    # All side searches share one pair of room lists. A `limit` stop leaves
+    # the last solution's rooms taken; the components are interleaved so
+    # that every later search runs with those rooms still taken beside it.
+    parts = [hypercube_graph(4), complete_bipartite_graph(2, 4), cycle_graph(8),
+             glue_four_cycle(glue_four_cycle(cycle_graph(4), 0), 2), cycle_graph(4)]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        offset += part.vertex_count
+    perm = np.random.default_rng(20).permutation(offset)
+    g = Graph(offset, [(perm[u].item(), perm[v].item()) for u, v in edges])
+    half = [g.degree(v) // 2 for v in range(g.vertex_count)]
+    left_taken = []
+    real = degeneracy._exact_half_assignments
+
+    def watched(graph, side, rooms, *args):
+        out = real(graph, side, rooms, *args)
+        left_taken.append(rooms != (half, half))
+        return out
+
+    monkeypatch.setattr(degeneracy, "_exact_half_assignments", watched)
+    for limit in (1, 2, None):
+        left_taken.clear()
+        got = enumerate_cdes(g, limit=limit)
+        assert got == reference_enumerate_cdes(g, limit=limit)
+        assert len(left_taken) == 2 * len(parts)
+        assert any(left_taken) == (limit is not None)
+    assert len(got) == 18 * 6 * 2 * 8 * 2  # the whole product, listed at limit None
+    for empty, labels in ((Graph(0), ()), (Graph(3), (0, 0, 0))):
+        for limit in (1, 2, None):
+            got = enumerate_cdes(empty, limit=limit)
+            assert got == reference_enumerate_cdes(empty, limit=limit) == [QuarterLabeling(labels)]
+
+
 def test_q6_search_cost_is_pinned():
     # 70 x 140 side solutions in exactly 11,931 search nodes; the search runs
     # in BFS order, so relabeling the vertices leaves the cost unchanged

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from degen_kuramoto import (
     render_svg,
 )
 
-from helpers import reference_canonical_json, reference_emit_json
+from helpers import reference_canonical_json, reference_emit_json, reference_enumerate_cdes
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -183,8 +184,15 @@ def test_format_constant():
 def _random_value(rng, depth=0):
     """A nested JSON-like value: ints up to 2**70, bools, None, floats with
     -0.0, tiny and subnormal magnitudes, escaped and non-ASCII strings,
-    lists, tuples and dicts."""
-    kind = int(rng.integers(0, 9 if depth < 3 else 6))
+    lists, tuples and dicts, and int lists of up to 70 items, some with one
+    bool, float, None or 2**70 among them."""
+    kind = int(rng.integers(0, 10 if depth < 3 else 6))
+    if kind == 9:
+        ints = rng.integers(-(2**40), 2**40, size=int(rng.integers(0, 71))).tolist()
+        if ints and rng.random() < 0.5:
+            odd = (True, False, 1.0, -0.0, None, 2**70, -(2**70))[int(rng.integers(7))]
+            ints[int(rng.integers(len(ints)))] = odd
+        return ints if rng.random() < 0.7 else tuple(ints)
     if kind == 0:
         return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**8]))
     if kind == 1:
@@ -222,6 +230,17 @@ def test_canonical_json_matches_the_one_branch_per_type_writer():
             reference_canonical_json(bad)
     with pytest.raises(ValueError, match="non-finite float"):
         canonical_json([1.0, float("nan")])
+
+
+def test_the_q6_enumerate_document_matches_the_reference_writer():
+    q6 = hypercube_graph(6)
+    labelings = reference_enumerate_cdes(q6)
+    report = {"cde_count": len(labelings),
+              "labelings": [{"labels": list(q.labels), "base": q.base} for q in labelings]}
+    text = emit_json(q6, report=report)
+    assert text == reference_emit_json(q6, report=report)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "86cb9912720b603a769e3638cc7d49aaf5091b661f9fe256c3f62af2f2022213")
 
 
 def _random_emit_arguments(rng):

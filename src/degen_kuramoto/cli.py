@@ -31,7 +31,7 @@ from .dynamics import (
     instability_probe,
     integrate,
 )
-from .experiments import FAMILIES, GLUE_SEEDS, family_sweep, rarity_experiment
+from .experiments import FAMILIES, GLUE_SEEDS, FamilySweepRow, family_sweep, rarity_experiment
 from .oscillator import OscillatorSystem
 from .render import render_svg
 
@@ -194,13 +194,11 @@ def cmd_rarity(args) -> str:
 def cmd_sweep(args) -> str:
     rows = family_sweep(args.family, _int_list(args.params), glue_seed=args.glue_seed,
                         budget=args.budget)
-    lines = ["family,parameter,vertex_count,edge_count,admits,decided_by,cde_count,circuit_length"]
+    lines = [",".join(f.name for f in dataclasses.fields(FamilySweepRow))]
     for r in rows:
-        circuit = "" if r.circuit_length is None else str(r.circuit_length)
-        lines.append(
-            f"{r.family},{r.parameter},{r.vertex_count},{r.edge_count},"
-            f"{str(r.admits).lower()},{r.decided_by},{r.cde_count},{circuit}"
-        )
+        cells = ("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                 for v in dataclasses.astuple(r))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -116,16 +116,9 @@ class CdeVerdict:
 
 
 @dataclass(frozen=True)
-class NonidenticalVerdict:
-    ok: bool
-    reason: str | None = None
-    vertex: int | None = None
-    edge: tuple[int, int] | None = None
+class NonidenticalVerdict(CdeVerdict):
     frequency_ratios: tuple[float, ...] = ()
     ratios_integral: tuple[bool, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -160,6 +153,13 @@ class CircuitLabelConflictError(ValueError):
         self.second_index = second_index
 
 
+def _arcs(rows) -> np.ndarray:
+    """Both directions (k, j) of the edge rows u < v, arc i on edge i % edge_count: the
+    reversed rows, then the rows. Each k meets its neighbors in ascending order, so a
+    bincount over k adds them in the order of Python's sum over g.neighbors(k)."""
+    return np.hstack((rows[::-1], rows))
+
+
 def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     """Check the zero-Jacobian equilibrium criterion on both directions of each edge.
 
@@ -170,8 +170,7 @@ def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = phase_vector(theta, g.vertex_count)
-    rows = _edge_rows(g)
-    k, j = np.hstack((rows, rows[::-1]))  # neighbor j[i] of k[i]: each edge, then each reversed
+    k, j = _arcs(_edge_rows(g))  # neighbor j[i] of k[i]
     gap = signed_gap(theta[j], theta[k])
     plus = abs(gap - HALF_PI) <= tol
     minus = ~plus & (abs(gap + HALF_PI) <= tol)
@@ -198,38 +197,34 @@ def is_cde_nonidentical(
 
     Requires cos(theta_j - theta_k) = 0 on every edge and the per-vertex
     sine balance sum_j a_jk sin(theta_j - theta_k) = -omega_k / K. Also
-    reports whether each ratio omega_k / K is an integer within tol.
+    reports whether each ratio omega_k / K is an integer within tol. A ratio
+    that overflows raises ValueError naming its vertex.
     """
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     g = sys.graph
     theta = phase_vector(theta, g.vertex_count)
-    ratios = tuple(float(w) / sys.coupling for w in sys.frequencies)
-    integral = tuple(abs(r - round(r)) <= tol for r in ratios)
+    with np.errstate(over="ignore"):
+        ratios = sys.frequencies / sys.coupling
+    overflow = np.flatnonzero(~np.isfinite(ratios))
+    if overflow.size:
+        raise ValueError(f"omega/K overflows at vertex {overflow[0]}")
+    fields = dict(frequency_ratios=tuple(ratios.tolist()),
+                  ratios_integral=tuple((abs(ratios - np.rint(ratios)) <= tol).tolist()))
     cos = np.cos(theta[sys._edge_v] - theta[sys._edge_u])
     bad = np.flatnonzero(abs(cos) > tol)
     if bad.size:
         u, v = g.edges[bad[0]]
-        return NonidenticalVerdict(
-            False,
-            f"edge ({u}, {v}): cos(phase gap) = {cos[bad[0]]:.6g} is not 0 within {tol:g}",
-            edge=(u, v),
-            frequency_ratios=ratios,
-            ratios_integral=integral,
-        )
-    for k in range(g.vertex_count):
-        s = sum(float(np.sin(theta[j] - theta[k])) for j in g.neighbors(k))
-        if abs(s + ratios[k]) > tol:
-            return NonidenticalVerdict(
-                False,
-                f"vertex {k}: sine sum {s:.6g} != -omega/K = {-ratios[k]:.6g}",
-                vertex=k,
-                frequency_ratios=ratios,
-                ratios_integral=integral,
-            )
-    return NonidenticalVerdict(
-        True, frequency_ratios=ratios, ratios_integral=integral
-    )
+        reason = f"edge ({u}, {v}): cos(phase gap) = {cos[bad[0]]:.6g} is not 0 within {tol:g}"
+        return NonidenticalVerdict(False, reason, edge=(u, v), **fields)
+    k, j = _arcs((sys._edge_u, sys._edge_v))
+    sums = np.bincount(k, np.sin(theta[j] - theta[k]), g.vertex_count)
+    failing = np.flatnonzero(abs(sums + ratios) > tol)
+    if failing.size:
+        first = failing[0].item()
+        reason = f"vertex {first}: sine sum {sums[first]:.6g} != -omega/K = {-ratios[first]:.6g}"
+        return NonidenticalVerdict(False, reason, vertex=first, **fields)
+    return NonidenticalVerdict(True, **fields)
 
 
 def _exact_half_assignments(g: Graph, side, rooms, pin_first, used, budget, limit):

@@ -156,6 +156,16 @@ class EscapeReport:
     converged: bool = False
 
 
+def _direction(direction, theta: np.ndarray) -> np.ndarray:
+    """direction as a float array, checked to be finite and shaped like theta."""
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != theta.shape:
+        raise ValueError("direction must match the state shape")
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction must be finite")
+    return direction
+
+
 def instability_probe(
     sys: OscillatorSystem,
     theta,
@@ -177,11 +187,7 @@ def instability_probe(
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
     theta = phase_vector(theta, sys.graph.vertex_count)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != theta.shape:
-        raise ValueError("direction must match the state shape")
-    if not np.all(np.isfinite(direction)):
-        raise ValueError("direction must be finite")
+    direction = _direction(direction, theta)
     field = _field_fn(sys)
     residual = float(np.max(np.abs(field(theta))))
     if residual >= 1.0e-10:
@@ -231,11 +237,7 @@ def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e
     direction and probe must be finite: a NaN energy would compare false.
     """
     theta = np.asarray(theta, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != theta.shape:
-        raise ValueError("direction must match the state shape")
-    if not np.all(np.isfinite(direction)):
-        raise ValueError("direction must be finite")
+    direction = _direction(direction, theta)
     if not math.isfinite(probe):
         raise ValueError("probe must be finite")
     e_plus = energy(sys, theta + probe * direction)

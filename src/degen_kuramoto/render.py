@@ -99,6 +99,8 @@ def render_svg(g: Graph, theta, layout="circular", tol: float = 1.0e-9) -> str:
         raw = [(float(x), float(y)) for x, y in layout]
         if len(raw) != n:
             raise ValueError(f"layout provides {len(raw)} positions for {n} vertices")
+        if not np.isfinite(raw).all():
+            raise ValueError("layout positions must be finite")
 
     size = 420.0
     margin = 40.0

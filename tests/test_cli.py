@@ -127,6 +127,12 @@ def test_detect_nonidentical(capsys, tmp_path):
     assert verdict["frequency_ratios"] == [1.0, 1.0, -3.0, 1.0]
 
 
+def test_detect_overflowing_ratio_exits_one(capsys, c4_file):
+    code, out, err = run(capsys, "detect", "--input", c4_file, "--labels", "0,1,2,3",
+                         "--coupling", "1e-300", "--frequencies", "1e300,0,0,0")
+    assert (code, out, err) == (1, "", "error: omega/K overflows at vertex 0\n")
+
+
 def test_circuit_both_directions(capsys, c4_file):
     code, out, _ = run(capsys, "circuit", "--input", c4_file, "--labels", "0,1,2,3")
     assert code == 0

@@ -136,6 +136,17 @@ def test_is_cde_nonidentical_scales_with_coupling():
     assert all(verdict.ratios_integral)
 
 
+def test_is_cde_nonidentical_names_an_overflowing_ratio():
+    c4 = cycle_graph(4)
+    theta = [0.0, HALF_PI, np.pi, 3 * HALF_PI]
+    # round(inf) raised OverflowError, which the CLI does not map to an error line
+    for omega, vertex in (([0.0, 1e300, -1e300, 0.0], 1), ([0.0, 0.0, 0.0, -1e300], 3)):
+        with pytest.raises(ValueError, match=f"^omega/K overflows at vertex {vertex}$"):
+            is_cde_nonidentical(OscillatorSystem(c4, 1e-300, omega), theta)
+    verdict = is_cde_nonidentical(OscillatorSystem(c4, 1e-300, [0.0, 1e-300, 0.0, 0.0]), theta)
+    assert verdict.frequency_ratios == (0.0, 1.0, 0.0, 0.0) and verdict.vertex == 1
+
+
 def test_enumerate_cdes_examples():
     assert [q.labels for q in enumerate_cdes(cycle_graph(4))] == [
         (0, 1, 2, 3),

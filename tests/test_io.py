@@ -165,6 +165,12 @@ def test_render_svg_explicit_layout_and_errors():
     assert svg.count("<circle") == 2
     with pytest.raises(ValueError):
         render_svg(g, [0.0, 0.0], layout=[(0.0, 0.0)])
+    # a non-finite coordinate wrote x2="nan" into the image
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^layout positions must be finite$"):
+            render_svg(g, [0.0, 0.0], layout=[(0.0, 0.0), (bad, 1.0)])
+        with pytest.raises(ValueError, match="^layout positions must be finite$"):
+            render_svg(g, [0.0, 0.0], layout=[(0.0, bad), (1.0, 1.0)])
     with pytest.raises(ValueError):
         render_svg(g, [0.0])
     with pytest.raises(ValueError):

@@ -388,6 +388,43 @@ def _differential_cases(count: int):
         yield OscillatorSystem(g, coupling, omega), theta, tol
 
 
+def _hub_cases(count: int):
+    """(system, state, tol) on graphs the n <= 11 corpus above does not reach.
+
+    One to three hubs of degree 9 to 40 on one side of a bipartite graph,
+    leaves on the other, vertex ids shuffled and up to three isolated
+    vertices. Phases sit on the quarter lattice plus noise of 1e-4, so each
+    sine carries low bits and the order of a hub's sum shows in its last
+    bits. Frequencies leave each hub 1e-2 to 2e-2 and every other vertex at
+    most 1e-3 off balance, and tol lies exactly on one hub's imbalance as
+    summed over ascending neighbors. Every fifth case draws random
+    frequencies and a tol of 1e-4, which some edge cosines exceed.
+    """
+    rng = np.random.default_rng(2121)
+    for i in range(count):
+        hubs, leaves, isolated = 1 + i % 3, int(rng.integers(9, 41)), int(rng.integers(0, 4))
+        n = hubs + leaves + isolated
+        ids = rng.permutation(n).tolist()
+        edges = [(ids[h], ids[hubs + v]) for h in range(hubs)
+                 for v in rng.choice(leaves, int(rng.integers(9, leaves + 1)), replace=False)]
+        g = Graph(n, edges)
+        labels = 2 * rng.integers(0, 2, n) + 1
+        labels[ids[:hubs]] -= 1
+        theta = HALF_PI * labels + 2 * np.pi * rng.integers(-2, 3, n)
+        theta += rng.normal(scale=1.0e-4, size=n)
+        phases = phase_vector(theta)
+        sums = [sum(float(np.sin(phases[j] - phases[k])) for j in g.neighbors(k)) for k in range(n)]
+        coupling = 1.0 if i % 2 else float(rng.uniform(0.2, 3.0))
+        if i % 5 == 0:
+            yield OscillatorSystem(g, coupling, rng.normal(size=n)), theta, 1.0e-4
+            continue
+        off = rng.uniform(-1.0e-3, 1.0e-3, n)
+        off[ids[:hubs]] = rng.choice([-1.0, 1.0], hubs) * rng.uniform(1.0e-2, 2.0e-2, hubs)
+        sys_ = OscillatorSystem(g, coupling, coupling * (off - sums))
+        k = ids[i // 3 % hubs]
+        yield sys_, theta, abs(sums[k] + float(sys_.frequencies[k]) / coupling)
+
+
 def test_array_formulas_match_the_scalar_loops_bit_for_bit():
     seen = {"short": 0, "long": 0, "critical": 0, "ok": 0, "edge": 0, "vertex": 0,
             "palette": 0, "hue": 0, "cde ok": 0, "cde edge": 0, "cde vertex": 0, "pi gap": 0}
@@ -423,6 +460,22 @@ def test_array_formulas_match_the_scalar_loops_bit_for_bit():
         with pytest.raises(ValueError, match="^state must be finite$"):
             classify_edges(sys_, theta, tol)
     assert min(seen.values()) >= 100 and wide >= 50, (seen, wide)
+    seen = {"ok": 0, "edge": 0, "vertex": 0}
+    for sys_, theta, tol in _hub_cases(300):
+        verdict = is_cde_nonidentical(sys_, theta, tol)
+        assert verdict == reference_is_cde_nonidentical(sys_, theta, tol), (sys_.graph.edges, theta, tol)
+        seen["ok" if verdict else "edge" if verdict.edge else "vertex"] += 1
+        assert is_cde(sys_.graph, theta, tol) == reference_is_cde(sys_.graph, theta, tol)
+        theta[::3] = np.nan
+        for check in (is_cde_nonidentical, reference_is_cde_nonidentical):
+            with pytest.raises(ValueError, match="^phases must be finite$"):
+                check(sys_, theta, tol)
+    assert min(seen.values()) >= 20, seen
+    for g in (complete_bipartite_graph(4, 4), complete_bipartite_graph(6, 6), hypercube_graph(6)):
+        built = construct_nonidentical_cde(g, 2.0)
+        sys_ = OscillatorSystem(g, 2.0, built.frequencies)
+        verdict = is_cde_nonidentical(sys_, built.phases)
+        assert verdict and verdict == reference_is_cde_nonidentical(sys_, built.phases)
     for tol in (0.0, 1.0e-9, 2.0):
         assert is_cde(Graph(0), [], tol) == reference_is_cde(Graph(0), [], tol) == CdeVerdict(True)
     assert Graph(0).adjacency_matrix().shape == (0, 0)

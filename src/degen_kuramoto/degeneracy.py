@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, _bfs_forest, _edge_rows, _odd_cycle, _odd_vertex,
-                     contains_triangle, is_bipartite)
+from .graphs import Graph, _bfs_forest, _odd_cycle, _odd_vertex, contains_triangle, is_bipartite
 from .oscillator import HALF_PI, OscillatorSystem, _wrap, phase_vector, signed_gap, vector_field
 
 __all__ = [
@@ -170,7 +169,7 @@ def is_cde(g: Graph, theta, tol: float = 1.0e-9) -> CdeVerdict:
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     theta = phase_vector(theta, g.vertex_count)
-    k, j = _arcs(_edge_rows(g))  # neighbor j[i] of k[i]
+    k, j = _arcs(g._rows)  # neighbor j[i] of k[i]
     gap = signed_gap(theta[j], theta[k])
     plus = abs(gap - HALF_PI) <= tol
     minus = ~plus & (abs(gap + HALF_PI) <= tol)
@@ -211,13 +210,14 @@ def is_cde_nonidentical(
         raise ValueError(f"omega/K overflows at vertex {overflow[0]}")
     fields = dict(frequency_ratios=tuple(ratios.tolist()),
                   ratios_integral=tuple((abs(ratios - np.rint(ratios)) <= tol).tolist()))
-    cos = np.cos(theta[sys._edge_v] - theta[sys._edge_u])
+    u, v = g._rows
+    cos = np.cos(theta[v] - theta[u])
     bad = np.flatnonzero(abs(cos) > tol)
     if bad.size:
-        u, v = g.edges[bad[0]]
-        reason = f"edge ({u}, {v}): cos(phase gap) = {cos[bad[0]]:.6g} is not 0 within {tol:g}"
-        return NonidenticalVerdict(False, reason, edge=(u, v), **fields)
-    k, j = _arcs((sys._edge_u, sys._edge_v))
+        e = g.edges[bad[0]]
+        reason = f"edge {e}: cos(phase gap) = {cos[bad[0]]:.6g} is not 0 within {tol:g}"
+        return NonidenticalVerdict(False, reason, edge=e, **fields)
+    k, j = _arcs(g._rows)
     sums = np.bincount(k, np.sin(theta[j] - theta[k]), g.vertex_count)
     failing = np.flatnonzero(abs(sums + ratios) > tol)
     if failing.size:
@@ -361,11 +361,13 @@ def _validate_circuit(g: Graph, circuit: EulerCircuit) -> None:
     verts = circuit.vertices
     for v in verts:
         g._check_vertex(v)
+    edges = set(g.edges)
     steps = []
     for a, b in zip(verts, verts[1:]):
-        if not g.has_edge(a, b):
+        step = (a, b) if a < b else (b, a)
+        if step not in edges:
             raise ValueError(f"({a}, {b}) is not an edge of the graph")
-        steps.append((a, b) if a < b else (b, a))
+        steps.append(step)
     if len(steps) != g.edge_count or len(set(steps)) != len(steps):
         raise ValueError(
             f"walk uses {len(steps)} steps over {len(set(steps))} distinct edges; "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ class Graph:
     sorted pairs (u, v) with u < v, duplicates collapse, a self-loop is rejected.
     """
 
-    __slots__ = ("_n", "_edges", "_adj")
+    __slots__ = ("_n", "_edges", "_adj", "_rows")
 
     def __init__(self, vertex_count: int, edges=()):
         n = operator.index(vertex_count)
@@ -48,6 +49,9 @@ class Graph:
             canonical.add((lo, hi))
         self._n = n
         self._edges = tuple(sorted(canonical))
+        flat = np.fromiter(itertools.chain.from_iterable(self._edges), np.int64, 2 * len(canonical))
+        self._rows = flat.reshape(-1, 2).T.copy()
+        self._rows.setflags(write=False)
         # sorted pairs fill every adjacency list in ascending order
         adj = [[] for _ in range(n)]
         for u, v in self._edges:
@@ -84,7 +88,7 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 matrix with zero diagonal."""
         a = np.zeros((self._n, self._n))
-        u, v = _edge_rows(self)
+        u, v = self._rows
         a[u, v] = a[v, u] = 1.0
         return a
 
@@ -102,11 +106,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(vertices={self._n}, edges={len(self._edges)})"
-
-
-def _edge_rows(g: Graph) -> np.ndarray:
-    """g's edges as C-contiguous int64 rows u < v: the field bincounts them in each RK4 stage."""
-    return np.array(g.edges, dtype=np.int64).reshape(-1, 2).T.copy()
 
 
 def _bfs_forest(g: Graph):

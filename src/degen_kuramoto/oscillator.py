@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _edge_rows
+from .graphs import Graph
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -79,7 +79,7 @@ class OscillatorSystem:
     case coupling = 1, frequencies = 0.
     """
 
-    __slots__ = ("graph", "coupling", "frequencies", "_edge_u", "_edge_v")
+    __slots__ = ("graph", "coupling", "frequencies")
 
     def __init__(self, graph: Graph, coupling: float = 1.0, frequencies=None):
         coupling = float(coupling)
@@ -100,7 +100,6 @@ class OscillatorSystem:
         self.coupling = coupling
         self.frequencies = omega
         self.frequencies.setflags(write=False)
-        self._edge_u, self._edge_v = _edge_rows(graph)
 
     @classmethod
     def identical(cls, graph: Graph) -> "OscillatorSystem":
@@ -132,9 +131,10 @@ def _field_fn(sys: OscillatorSystem):
     The hot path shared with the integrator; built per call, not stored, so
     systems still pickle. On an identical system the coupling sum is the
     field bit for bit: a difference of two bincount sums is never -0.0, so
-    0 + 1 * x would change no bit of it.
+    0 + 1 * x would change no bit of it. np.bincount copies a read-only index
+    array on every call, so the graph's rows are copied once here.
     """
-    u, v, n = sys._edge_u, sys._edge_v, sys.graph.vertex_count
+    (u, v), n = sys.graph._rows.copy(), sys.graph.vertex_count
     sin, bincount = np.sin, np.bincount
 
     def coupling_sum(theta):
@@ -188,7 +188,7 @@ def _energies(sys: OscillatorSystem, states: np.ndarray) -> np.ndarray:
     temporaries stay at a fixed size however many states there are; each
     row's sum is the one a single pass over all rows gives, bit for bit.
     """
-    u, v = sys._edge_u, sys._edge_v
+    u, v = sys.graph._rows
     grid = np.atleast_2d(states)
     e = np.empty(grid.shape[0])
     for rows in _row_blocks(grid.shape[0], u.shape[0]):
@@ -272,6 +272,6 @@ def classify_edges(sys: OscillatorSystem, theta, tol: float = 1.0e-9) -> dict:
     theta = _check_state(sys, theta)
     if not np.all(np.isfinite(theta)):
         raise ValueError("state must be finite")
-    d = circular_distance(theta[sys._edge_u], theta[sys._edge_v])
+    d = circular_distance(*theta[sys.graph._rows])
     labels = np.where(abs(d - HALF_PI) <= tol, "critical", np.where(d < HALF_PI, "short", "long"))
     return dict(zip(sys.graph.edges, labels.tolist()))

@@ -106,10 +106,11 @@ def render_svg(g: Graph, theta, layout="circular", tol: float = 1.0e-9) -> str:
     margin = 40.0
     xs = [p[0] for p in raw]
     ys = [p[1] for p in raw]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0e-9)
-    scale = (size - 2.0 * margin) / span
-    cx = 0.5 * (max(xs) + min(xs))
-    cy = 0.5 * (max(ys) + min(ys))
+    # halves before sums, so a huge finite layout cannot overflow to inf
+    half = max(0.5 * max(xs) - 0.5 * min(xs), 0.5 * max(ys) - 0.5 * min(ys), 0.5e-9)
+    scale = (0.5 * size - margin) / half
+    cx = 0.5 * max(xs) + 0.5 * min(xs)
+    cy = 0.5 * max(ys) + 0.5 * min(ys)
     pos = [
         (size / 2.0 + scale * (x - cx), size / 2.0 - scale * (y - cy)) for x, y in raw
     ]

@@ -458,12 +458,21 @@ def symmetric_3x3_eigs(a) -> list[float]:
     return sorted([eig1, eig2, eig3])
 
 
+@functools.lru_cache(maxsize=256)
+def edge_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays u < v of g's edges, read from g.edges; cached, since
+    the reference RK4 loops ask for them at every stage."""
+    u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    return u, v
+
+
 def _reference_field(sys: OscillatorSystem, theta: np.ndarray) -> np.ndarray:
     n = theta.shape[0]
-    s = np.sin(theta[sys._edge_v] - theta[sys._edge_u])
+    edge_u, edge_v = edge_rows(sys.graph)
+    s = np.sin(theta[edge_v] - theta[edge_u])
     return sys.frequencies + sys.coupling * (
-        np.bincount(sys._edge_u, weights=s, minlength=n)
-        - np.bincount(sys._edge_v, weights=s, minlength=n)
+        np.bincount(edge_u, weights=s, minlength=n)
+        - np.bincount(edge_v, weights=s, minlength=n)
     )
 
 
@@ -503,7 +512,8 @@ def reference_simulate_csv(trace: SimulationTrace, vertex_count: int) -> str:
 
 def reference_trace_energies(sys: OscillatorSystem, lift: np.ndarray) -> np.ndarray:
     """The energies `integrate` computed inline for its (steps + 1, n) lift."""
-    d = lift[:, sys._edge_v] - lift[:, sys._edge_u]
+    edge_u, edge_v = edge_rows(sys.graph)
+    d = lift[:, edge_v] - lift[:, edge_u]
     energies = sys.coupling * np.sum(1.0 - np.cos(d), axis=1)
     if sys.frequencies.any():
         energies -= lift @ sys.frequencies
@@ -513,7 +523,8 @@ def reference_trace_energies(sys: OscillatorSystem, lift: np.ndarray) -> np.ndar
 def reference_energy(sys: OscillatorSystem, theta) -> float:
     """`energy` as it ran with its own copy of the formula."""
     theta = np.asarray(theta, dtype=float)
-    d = theta[sys._edge_v] - theta[sys._edge_u]
+    edge_u, edge_v = edge_rows(sys.graph)
+    d = theta[edge_v] - theta[edge_u]
     e = sys.coupling * float(np.sum(1.0 - np.cos(d)))
     if sys.frequencies.any():
         e -= float(np.dot(sys.frequencies, theta))
@@ -676,7 +687,7 @@ def normal_form_blowup_time(sys: OscillatorSystem, theta, direction, eta: float 
     if not verdict:
         raise ValueError(f"not a completely degenerate equilibrium: {verdict.reason}")
     theta = phase_vector(theta, sys.graph.vertex_count)
-    u_idx, v_idx, n = sys._edge_u, sys._edge_v, sys.graph.vertex_count
+    (u_idx, v_idx), n = edge_rows(sys.graph), sys.graph.vertex_count
     sigma = np.rint(np.sin(theta[v_idx] - theta[u_idx]))  # sigma for the pair (j, k) = (v, u)
 
     def q(x):

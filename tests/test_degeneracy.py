@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,19 @@ def test_enumerate_cdes_examples():
     c6 = cycle_graph(6)
     assert is_eulerian(c6) and is_bipartite(c6)
     assert enumerate_cdes(c6) == []
+
+
+def test_closed_form_cde_counts():
+    # K_{a,b}: the pinned first vertex leaves C(a - 1, a/2) exact halves on
+    # the first part and C(b, b/2) on the second
+    for a in (2, 4, 6, 8):
+        for b in (2, 4, 6, 8):
+            want = math.comb(a - 1, a // 2) * math.comb(b, b // 2)
+            assert len(enumerate_cdes(complete_bipartite_graph(a, b))) == want, (a, b)
+    for a, b in ((1, 2), (2, 3), (3, 4), (5, 5)):
+        assert enumerate_cdes(complete_bipartite_graph(a, b)) == [], (a, b)
+    for n in range(3, 17):
+        assert len(enumerate_cdes(cycle_graph(n))) == (2 if n % 4 == 0 else 0), n
 
 
 def test_enumerate_cdes_soundness():
@@ -471,6 +486,16 @@ def test_circuit_to_phases_validates_circuit():
         circuit_to_phases(c4, EulerCircuit((0, 2, 0)))
     with pytest.raises(ValueError, match="exactly once"):
         circuit_to_phases(c4, EulerCircuit((0, 1, 0)))
+    # every vertex is checked first, then the first non-edge step as walked
+    cases = [
+        ((0, 0), "(0, 0) is not an edge of the graph"),
+        ((0, 2, 5, 0), "vertex id 5 outside 0..3"),
+        ((3, 2, 0, 2, 3), "(2, 0) is not an edge of the graph"),
+    ]
+    for walk, message in cases:
+        with pytest.raises(ValueError) as info:
+            circuit_to_phases(c4, EulerCircuit(walk))
+        assert str(info.value) == message
 
 
 def test_phases_to_circuit_examples():

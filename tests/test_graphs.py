@@ -56,6 +56,17 @@ def test_graph_edge_input_order_and_type_do_not_matter():
             assert all(type(w) is int for w in nbrs)
 
 
+@pytest.mark.parametrize("graph", [Graph(0), Graph(5), cycle_graph(4), hypercube_graph(3)],
+                         ids=["empty", "edgeless", "c4", "q3"])
+def test_edge_rows_are_contiguous_int_arrays(graph):
+    rows = graph._rows
+    assert rows.dtype == np.dtype(np.int64) and rows.shape == (2, graph.edge_count)
+    assert rows[0].flags.c_contiguous and rows[1].flags.c_contiguous
+    assert list(zip(*rows.tolist())) == list(graph.edges)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[:, :1] = 0
+
+
 def test_graph_error_messages_name_the_first_bad_edge():
     cases = [
         (3, [(2, 2)], "self-loop at vertex 2"),

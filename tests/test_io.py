@@ -165,6 +165,10 @@ def test_render_svg_explicit_layout_and_errors():
     assert svg.count("<circle") == 2
     with pytest.raises(ValueError):
         render_svg(g, [0.0, 0.0], layout=[(0.0, 0.0)])
+    # a huge finite layout overflowed its center to inf and wrote x1="-inf"
+    huge = render_svg(g, [0.0, 0.0], layout=[(1e308, 0.0), (1.7e308, 1.0)])
+    assert '<line x1="40.00" y1="210.00" x2="380.00" y2="210.00"/>' in huge
+    assert "inf" not in huge and "nan" not in huge
     # a non-finite coordinate wrote x2="nan" into the image
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="^layout positions must be finite$"):

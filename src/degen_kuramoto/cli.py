@@ -47,11 +47,9 @@ def _numbers(text: str, kind) -> list:
 def _int_list(text: str) -> list[int]:
     if ":" in text:
         parts = [int(t) for t in text.split(":")]
-        if len(parts) == 2:
-            return list(range(parts[0], parts[1]))
-        if len(parts) == 3:
-            return list(range(parts[0], parts[1], parts[2]))
-        raise ValueError(f"bad range {text!r}; use start:stop[:step]")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad range {text!r}; use start:stop[:step]")
+        return list(range(*parts))
     return _numbers(text, int)
 
 

@@ -281,25 +281,22 @@ def _nonnegative(value, what: str) -> int:
     return value
 
 
-def _side_split(g: Graph, budget: int, limit: int | None):
-    """The BFS forest of g, then each side's exact-half solutions (at most `limit`).
+def _side_split(g: Graph, forest, budget: int, limit: int | None):
+    """Each side's exact-half solutions (at most `limit`) over the BFS `forest` of g.
 
-    Returns (forest, halves): halves lists (side bit, its vertices in BFS
-    order, their s solutions) for both sides of each component with an edge,
-    or is None when an odd degree, a same-side edge or a side without
-    solutions rules out every CDE. Budget errors as in enumerate_cdes.
+    Returns a list of (side bit, its vertices in BFS order, their s solutions)
+    for both sides of each component with an edge, or None when a same-side
+    edge or a side without solutions rules out every CDE. The caller reads
+    budget and limit and rules out odd degrees; budget errors as in enumerate_cdes.
 
     All searches share one pair of room lists, indexed by vertex. A search
     ends with its rooms restored unless a `limit` stop leaves some taken,
     and no reset is needed then either: each (component, side) search only
     touches the rooms of the other side of its own component.
     """
-    budget = _nonnegative(budget, "budget")
-    if limit is not None:
-        limit = _nonnegative(limit, "limit")
-    forest = orders, _, side, conflict = _bfs_forest(g)
-    if conflict is not None or _odd_vertex(g) is not None:
-        return forest, None
+    orders, _, side, conflict = forest
+    if conflict is not None:
+        return None
     half = [len(a) // 2 for a in g._adj]
     rooms = (half, half.copy())  # how many more neighbors each u may have at s = 0, 1
     halves, used = [], 0
@@ -310,15 +307,14 @@ def _side_split(g: Graph, budget: int, limit: int | None):
             verts = [v for v in order if side[v] == bit]
             sols, used = _exact_half_assignments(g, verts, rooms, bit == 0, used, budget, limit)
             if not sols:
-                return forest, None
+                return None
             halves.append((bit, verts, sols))
-    return forest, halves
+    return halves
 
 
 def _count_cdes(g: Graph, budget: int) -> int:
-    """len(enumerate_cdes(g, budget)) as the product of the side-solution counts."""
-    _, halves = _side_split(g, budget, None)
-    return 0 if halves is None else math.prod(len(sols) for _, _, sols in halves)
+    """len(enumerate_cdes(g, budget)) on a graph admits_cde admits: a product of side counts."""
+    return math.prod(len(sols) for _, _, sols in _side_split(g, _bfs_forest(g), budget, None))
 
 
 def enumerate_cdes(
@@ -335,12 +331,17 @@ def enumerate_cdes(
     list before any search. With a `limit`, each side keeps its first
     `limit` solutions and the first `limit` combinations are sorted.
     """
-    _, halves = _side_split(g, budget, limit)
+    budget = _nonnegative(budget, "budget")
+    if limit is not None:
+        limit = _nonnegative(limit, "limit")
+    if _odd_vertex(g) is not None:
+        return []
+    halves = _side_split(g, _bfs_forest(g), budget, limit)
     if halves is None:
         return []
     k = math.prod(len(sols) for _, _, sols in halves)
     if limit is not None:
-        k = min(k, operator.index(limit))
+        k = min(k, limit)
     # row r is combo r of itertools.product over the halves: the last half
     # varies fastest, so half h takes solution (r // stride) % len(sols)
     labels = np.zeros((k, g.vertex_count), dtype=np.int8)
@@ -520,9 +521,9 @@ def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
     k = _odd_vertex(g)
     if k is not None:
         return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
-    (_, parent, _, conflict), halves = _side_split(g, budget, 1)
+    forest = _, parent, _, conflict = _bfs_forest(g)
     if conflict is None:
-        return AdmitsReport(halves is not None, "enumeration")
+        return AdmitsReport(_side_split(g, forest, budget, 1) is not None, "enumeration")
     tri = contains_triangle(g)  # a triangle is an odd cycle: sought only now
     if tri is not None:
         return AdmitsReport(False, "triangle", triangle=tri)

@@ -104,6 +104,10 @@ class Graph:
     def __hash__(self):
         return hash((self._n, self._edges))
 
+    def __reduce__(self):
+        # rebuilt by the constructor, so a copy's rows are read-only too
+        return (Graph, (self._n, self._edges))
+
     def __repr__(self):
         return f"Graph(vertices={self._n}, edges={len(self._edges)})"
 

@@ -109,6 +109,10 @@ class OscillatorSystem:
     def is_identical(self) -> bool:
         return self.coupling == 1.0 and not self.frequencies.any()
 
+    def __reduce__(self):
+        # rebuilt by the constructor, so a copy's frequencies are read-only too
+        return (OscillatorSystem, (self.graph, self.coupling, self.frequencies))
+
     def __repr__(self):
         return (
             f"OscillatorSystem({self.graph!r}, coupling={self.coupling}, "

@@ -441,6 +441,11 @@ def test_sweep_over_long_cycles(capsys):
     assert [(r[1], r[6]) for r in rows] == [("1996", "2"), ("2000", "2"), ("2004", "2")]
 
 
+def test_sweep_rejects_a_range_of_four_parts(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "cycle", "--params", "1:2:3:4")
+    assert (code, out, err) == (1, "", "error: bad range '1:2:3:4'; use start:stop[:step]\n")
+
+
 def test_render_svg_output(capsys, c4_file, tmp_path):
     out_file = tmp_path / "c4.svg"
     code, _, _ = run(capsys, "render", "--input", c4_file, "--labels", "0,1,2,3",

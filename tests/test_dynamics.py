@@ -110,6 +110,8 @@ def test_edge_pair_perturbation():
     assert set(moved) == {c.vertices[0], c.vertices[1]}
     with pytest.raises(ValueError, match="realize"):
         edge_pair_perturbation(g, enumerate_cdes(g)[1], c, 0.1)
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        edge_pair_perturbation(g, q, c, math.nan)
 
 
 def test_edge_pair_perturbation_rejects_a_circuit_failing_mod4():

@@ -197,6 +197,8 @@ def test_complete_bipartite_graph():
     assert is_bipartite(k24)
     star = complete_bipartite_graph(1, 3)
     assert star.degree(0) == 3
+    with pytest.raises(ValueError, match="^part sizes must be nonnegative$"):
+        complete_bipartite_graph(-1, 2)
 
 
 def test_erdos_renyi_endpoints_and_reproducibility():

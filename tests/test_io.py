@@ -14,6 +14,7 @@ from degen_kuramoto import (
     emit_json,
     enumerate_cdes,
     hypercube_graph,
+    hypercube_layout,
     parse_edge_list,
     parse_json,
     read_document,
@@ -87,6 +88,17 @@ def test_parse_json_validates():
         parse_json('{"format": "degen-kuramoto/1", "vertices": ["a"], "edges": [[0, 1]]}')
     with pytest.raises(ValueError, match="invalid JSON"):
         parse_json("{nope")
+    head = '{"format": "degen-kuramoto/1", '
+    for text, message in [
+        ("[]", "document must be a JSON object"),
+        (head + '"vertices": [1]}', "vertices must be a list of names"),
+        (head + '"vertices": ["a", "a"]}', "vertex names must be distinct"),
+        (head + '"vertices": ["a", "b"], "edges": [[0]]}', "bad edge entry [0]"),
+        (head + '"vertices": ["a", "b"], "coupling": 0}', "coupling must be positive"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_json(text)
+        assert str(info.value) == message
     # integral floats are still integers
     doc = parse_json('{"format": "degen-kuramoto/1", "vertices": ["a", "b"], '
                      '"edges": [[0, 1.0]], "labels": [0.0, 1]}')
@@ -177,8 +189,17 @@ def test_render_svg_explicit_layout_and_errors():
             render_svg(g, [0.0, 0.0], layout=[(0.0, bad), (1.0, 1.0)])
     with pytest.raises(ValueError):
         render_svg(g, [0.0])
+    with pytest.raises(ValueError, match=r"^labeling has 3 entries for 4 vertices$"):
+        render_svg(cycle_graph(4), QuarterLabeling((0, 1, 2)))
     with pytest.raises(ValueError):
         render_svg(cycle_graph(3), [0.0, 0.0, 0.0], layout="hypercube")
+
+
+def test_hypercube_layout_presets():
+    assert hypercube_layout(2) == [(-0.5, -0.25), (0.5, 0.25)]
+    pts = hypercube_layout(8)  # an odd dimension: the top bit is the diagonal nudge
+    assert pts[0] == (-2.5, -1.75) and pts[-1] == (2.5, 1.75)
+    assert len(set(pts)) == 8
 
 
 def test_render_svg_rejects_negative_tolerance():

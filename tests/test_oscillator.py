@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import tracemalloc
@@ -60,6 +61,8 @@ def test_phase_vector_canonicalizes():
         phase_vector([np.nan])
     with pytest.raises(ValueError):
         phase_vector([0.0, 1.0], vertex_count=3)
+    with pytest.raises(ValueError, match="^phases must form a 1-d array$"):
+        phase_vector([[0.0]])
 
 
 def test_signed_gap_is_elementwise_and_keeps_the_scalar_bits():
@@ -109,6 +112,8 @@ def test_system_validation():
             OscillatorSystem(g, coupling=coupling)
     with pytest.raises(ValueError):
         OscillatorSystem(g, frequencies=[1.0, 2.0])
+    with pytest.raises(ValueError, match="^frequencies must be finite$"):
+        OscillatorSystem(g, frequencies=[0.0, math.nan, 0.0, 0.0])
     sys_ = OscillatorSystem.identical(g)
     assert sys_.is_identical
     assert not OscillatorSystem(g, 2.0).is_identical
@@ -216,6 +221,8 @@ def test_symmetric_eigenvalues_examples():
         symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.zeros((2, 3)))
+    rep = symmetric_eigenvalues(np.zeros((0, 0)))
+    assert rep.eigenvalues.shape == (0,) and rep.max_offdiag_residual == 0.0
 
 
 def test_symmetric_eigenvalues_against_closed_forms():
@@ -321,12 +328,15 @@ def test_oscillator_system_survives_pickling():
     built = construct_nonidentical_cde(g, 2.0)
     for sys_ in (OscillatorSystem.identical(cycle_graph(4)),
                  OscillatorSystem(g, 2.0, built.frequencies)):
-        copy = pickle.loads(pickle.dumps(sys_))
-        assert (copy.graph, copy.coupling, copy.is_identical) == (
-            sys_.graph, sys_.coupling, sys_.is_identical)
-        theta = rng.uniform(0, 2 * np.pi, sys_.graph.vertex_count)
-        assert np.array_equal(vector_field(copy, theta).view(np.int64),
-                              vector_field(sys_, theta).view(np.int64))
+        for clone in (pickle.loads(pickle.dumps(sys_)), copy.deepcopy(sys_)):
+            assert (clone.graph, clone.coupling, clone.is_identical) == (
+                sys_.graph, sys_.coupling, sys_.is_identical)
+            # the constructors rebuild both, so the clone's arrays are read-only too
+            assert not clone.graph._rows.flags.writeable
+            assert not clone.frequencies.flags.writeable
+            theta = rng.uniform(0, 2 * np.pi, sys_.graph.vertex_count)
+            assert np.array_equal(vector_field(clone, theta).view(np.int64),
+                                  vector_field(sys_, theta).view(np.int64))
 
 
 def _bits(x) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,39 +357,35 @@ def enumerate_cdes(
     return [_zero_based(tuple(flat[r * n : (r + 1) * n])) for r in range(k)]
 
 
-def _validate_circuit(g: Graph, circuit: EulerCircuit) -> None:
-    verts = circuit.vertices
-    for v in verts:
-        g._check_vertex(v)
-    edges = set(g.edges)
-    steps = []
-    for a, b in zip(verts, verts[1:]):
-        step = (a, b) if a < b else (b, a)
-        if step not in edges:
-            raise ValueError(f"({a}, {b}) is not an edge of the graph")
-        steps.append(step)
-    if len(steps) != g.edge_count or len(set(steps)) != len(steps):
-        raise ValueError(
-            f"walk uses {len(steps)} steps over {len(set(steps))} distinct edges; "
-            f"an Euler circuit must use each of the {g.edge_count} edges exactly once"
-        )
-
-
 def circuit_to_phases(g: Graph, circuit: EulerCircuit, base: float = 0.0) -> QuarterLabeling:
     """Label each circuit vertex by its position mod 4, so each step adds +1.
 
-    The start vertex takes label 0. Raises CircuitLabelConflictError with
-    the first failure check_mod4_circuit reports, i.e. when some revisit gap
-    is not a multiple of four. Isolated vertices (never on the circuit) get
-    label 0.
+    The start vertex takes label 0. The walk is checked first: a vertex id
+    outside the graph, then its first step that is not an edge, then whether
+    it uses each edge exactly once (ValueError). Raises
+    CircuitLabelConflictError with the first failure check_mod4_circuit
+    reports, i.e. when some revisit gap is not a multiple of four. Isolated
+    vertices (never on the circuit) get label 0.
     """
-    _validate_circuit(g, circuit)
+    verts = circuit.vertices
+    edges, used = set(g.edges), set()
+    labels = [0] * g.vertex_count
+    for i, (a, b) in enumerate(zip(verts, verts[1:]), 1):
+        step = (a, b) if a < b else (b, a)
+        if step not in edges:
+            for v in verts:  # a bad vertex id anywhere on the walk is named first
+                g._check_vertex(v)
+            raise ValueError(f"({a}, {b}) is not an edge of the graph")
+        used.add(step)
+        labels[b] = i % 4
+    if circuit.length != g.edge_count or len(used) != circuit.length:
+        raise ValueError(
+            f"walk uses {circuit.length} steps over {len(used)} distinct edges; "
+            f"an Euler circuit must use each of the {g.edge_count} edges exactly once"
+        )
     verdict = check_mod4_circuit(circuit)
     if not verdict:
         raise CircuitLabelConflictError(verdict.vertex, *verdict.positions)
-    labels = [0] * g.vertex_count
-    for i, v in enumerate(circuit.vertices):
-        labels[v] = i % 4
     return QuarterLabeling(tuple(labels), base)
 
 
@@ -414,10 +409,10 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
     if not verdict:
         raise ValueError(f"not a completely degenerate equilibrium: {verdict.reason}")
 
-    succ = {
-        v: deque(j for j in g.neighbors(v) if (q.labels[j] - q.labels[v]) % 4 == 1)
-        for v in range(g.vertex_count)
-    }
+    labels = q.labels
+    # each vertex's label-increasing neighbors, largest first, so pop() takes the smallest
+    succ = [[j for j in reversed(nbrs) if (labels[j] - labels[v]) % 4 == 1]
+            for v, nbrs in enumerate(g._adj)]
     circuit = []
     walks = [iter((0,))]  # the walks whose vertices are still to be reached
     while walks:
@@ -429,7 +424,7 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
         walk = []
         w = v
         while succ[w]:
-            w = succ[w].popleft()
+            w = succ[w].pop()
             walk.append(w)
         if w != v:
             raise AssertionError("walk stalled away from its start vertex")
@@ -442,18 +437,18 @@ def check_mod4_circuit(circuit: EulerCircuit) -> Mod4Verdict:
 
     Positions run over the stored sequence including the closing entry, so
     the start vertex occurs at 0 and at M: a passing circuit needs a length
-    divisible by four.
+    divisible by four. A failing verdict names the smallest failing vertex,
+    at its first position and its first position in another class mod 4.
     """
-    positions: dict[int, list[int]] = {}
+    first: dict[int, int] = {}  # each vertex's first position
+    off: dict[int, int] = {}  # its first position in another class mod 4
     for i, v in enumerate(circuit.vertices):
-        positions.setdefault(v, []).append(i)
-    for v in sorted(positions):
-        pos = positions[v]
-        r = pos[0] % 4
-        for p in pos[1:]:
-            if p % 4 != r:
-                return Mod4Verdict(False, vertex=v, positions=(pos[0], p))
-    return Mod4Verdict(True)
+        if (i - first.setdefault(v, i)) % 4:
+            off.setdefault(v, i)
+    if not off:
+        return Mod4Verdict(True)
+    v = min(off)
+    return Mod4Verdict(False, vertex=v, positions=(first[v], off[v]))
 
 
 @dataclass(frozen=True, eq=False)

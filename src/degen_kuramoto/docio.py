@@ -59,7 +59,7 @@ def _edge_list_document(text: str) -> GraphDocument:
             raise ValueError(f"line {lineno}: self-loop at {u!r}")
         pairs.append((u, v))
     distinct = {t for pair in pairs for t in pair}
-    if all(t.isdigit() for t in distinct):
+    if all(t.isdecimal() for t in distinct):
         names = tuple(sorted(distinct, key=lambda t: (int(t), t)))
     else:
         names = tuple(sorted(distinct))
@@ -70,8 +70,8 @@ def _edge_list_document(text: str) -> GraphDocument:
 def parse_edge_list(text: str) -> Graph:
     """Graph from "u v" lines; '#' starts a comment, duplicates collapse.
 
-    Vertex tokens are sorted by (value, token) when all are nonnegative
-    integers, so '01' < '1' < '2', else as strings, and mapped to dense ids.
+    Vertex tokens are sorted by (value, token) when all are decimal numbers
+    (str.isdecimal), so '01' < '1' < '2', else as strings, and mapped to dense ids.
     """
     return _edge_list_document(text).graph
 
@@ -141,8 +141,6 @@ def emit_json(
     names = tuple(map(str, range(n) if names is None else names))
     if len(names) != n or len(set(names)) != n:
         raise ValueError(f"need {n} distinct vertex names")
-    if base is not None and labels is None:
-        raise ValueError("base requires labels")
     given = dict(phases=phases, labels=labels, base=base, frequencies=frequencies,
                  coupling=coupling, report=report)
     fields = {key: _plain(v) for key, v in given.items() if v is not None}
@@ -231,6 +229,8 @@ def _attachments(n: int, fields: dict) -> dict:
         if any(not 0 <= l <= 3 for l in labels):
             raise ValueError("labels must lie in 0..3")
         base = _number(fields.get("base", 0.0), "base")
+    elif "base" in fields:
+        raise ValueError("base requires labels")
     if "coupling" in fields:
         coupling = _number(fields["coupling"], "coupling")
         if not coupling > 0:

@@ -241,6 +241,7 @@ def family_sweep(
     circuit_length is the edge count. Each parameter is read with
     operator.index (a float raises TypeError).
     """
+    budget = _nonnegative(budget, "budget")
     rows = []
     for parameter in map(operator.index, parameters):
         g = _family_graph(family, parameter, glue_seed)

@@ -165,7 +165,6 @@ def jacobian(sys: OscillatorSystem, theta) -> np.ndarray:
     theta = _check_state(sys, theta)
     diffs = theta[None, :] - theta[:, None]
     j = sys.coupling * sys.graph.adjacency_matrix() * np.cos(diffs)
-    j[np.diag_indices_from(j)] = 0.0
     j[np.diag_indices_from(j)] = -j.sum(axis=1)
     return j
 

@@ -16,8 +16,11 @@ from degen_kuramoto import (
     AdmitsReport,
     BudgetExceededError,
     CdeVerdict,
+    CircuitLabelConflictError,
     EscapeReport,
+    EulerCircuit,
     Graph,
+    Mod4Verdict,
     NonFiniteStateError,
     NonidenticalVerdict,
     OscillatorSystem,
@@ -334,6 +337,52 @@ def reference_phases_to_circuit(g: Graph, q: QuarterLabeling) -> tuple[tuple[int
         remaining -= len(sub) - 1
         splices += 1
     return tuple(circuit), splices
+
+
+def reference_check_mod4_circuit(circuit: EulerCircuit) -> Mod4Verdict:
+    """check_mod4_circuit as it was before its one-pass form: a position list
+    per vertex, then the vertices in sorted order."""
+    positions: dict[int, list[int]] = {}
+    for i, v in enumerate(circuit.vertices):
+        positions.setdefault(v, []).append(i)
+    for v in sorted(positions):
+        pos = positions[v]
+        r = pos[0] % 4
+        for p in pos[1:]:
+            if p % 4 != r:
+                return Mod4Verdict(False, vertex=v, positions=(pos[0], p))
+    return Mod4Verdict(True)
+
+
+def _reference_validate_circuit(g: Graph, circuit: EulerCircuit) -> None:
+    verts = circuit.vertices
+    for v in verts:
+        g._check_vertex(v)
+    edges = set(g.edges)
+    steps = []
+    for a, b in zip(verts, verts[1:]):
+        step = (a, b) if a < b else (b, a)
+        if step not in edges:
+            raise ValueError(f"({a}, {b}) is not an edge of the graph")
+        steps.append(step)
+    if len(steps) != g.edge_count or len(set(steps)) != len(steps):
+        raise ValueError(
+            f"walk uses {len(steps)} steps over {len(set(steps))} distinct edges; "
+            f"an Euler circuit must use each of the {g.edge_count} edges exactly once"
+        )
+
+
+def reference_circuit_to_phases(g: Graph, circuit: EulerCircuit, base: float = 0.0):
+    """circuit_to_phases as it was before its one walk: every vertex id, then
+    the steps, then the mod-4 check, then the labels, each a pass of its own."""
+    _reference_validate_circuit(g, circuit)
+    verdict = reference_check_mod4_circuit(circuit)
+    if not verdict:
+        raise CircuitLabelConflictError(verdict.vertex, *verdict.positions)
+    labels = [0] * g.vertex_count
+    for i, v in enumerate(circuit.vertices):
+        labels[v] = i % 4
+    return QuarterLabeling(tuple(labels), base)
 
 
 def _reference_exact_half_assignments(g: Graph, side, pin_first, budget_state, limit):

@@ -446,6 +446,13 @@ def test_sweep_rejects_a_range_of_four_parts(capsys):
     assert (code, out, err) == (1, "", "error: bad range '1:2:3:4'; use start:stop[:step]\n")
 
 
+def test_sweep_rejects_a_negative_budget_over_an_empty_range(capsys):
+    for params in ("5:5", "5"):
+        code, out, err = run(capsys, "sweep", "--family", "cycle", "--params", params,
+                             "--budget", "-1")
+        assert (code, out, err) == (1, "", "error: budget must be nonnegative\n")
+
+
 def test_render_svg_output(capsys, c4_file, tmp_path):
     out_file = tmp_path / "c4.svg"
     code, _, _ = run(capsys, "render", "--input", c4_file, "--labels", "0,1,2,3",

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from helpers import (
     random_even_bipartite_graph,
     random_graph,
     reference_admits_cde,
+    reference_check_mod4_circuit,
+    reference_circuit_to_phases,
     reference_enumerate_cdes,
     reference_phases_to_circuit,
 )
@@ -557,7 +560,9 @@ def test_phases_to_circuit_matches_the_splice_loop():
     assert compared > 10_000 and spliced > 9_800
 
 
-def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
+def _circuit_corpus():
+    """(graph, circuit vertices): the circuits of every CDE of five graphs, and
+    40 random Euler circuits on each of seven graphs, most failing mod 4."""
     rng = np.random.default_rng(4)
     cases = []
     for g in (cycle_graph(4), cycle_graph(8), hypercube_graph(4), complete_bipartite_graph(2, 4),
@@ -567,8 +572,12 @@ def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
               complete_bipartite_graph(2, 4), glue_four_cycle(cycle_graph(6), 2),
               Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])):
         cases += [(g, random_euler_circuit(g, rng)) for _ in range(40)]
+    return cases
+
+
+def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
     outcomes = set()
-    for g, vertices in cases:
+    for g, vertices in _circuit_corpus():
         circuit = EulerCircuit(vertices)
         verdict = check_mod4_circuit(circuit)
         outcomes.add(verdict.ok)
@@ -583,6 +592,59 @@ def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
             assert (err.vertex, (err.first_index, err.second_index)) == (
                 verdict.vertex, verdict.positions)
     assert outcomes == {True, False}
+
+
+def _corrupted_walks(g, vertices, rng):
+    """Closed walks near an Euler circuit: a vertex id out of range (alone, or after
+    a non-edge step), an in-range vertex swapped in, one edge walked back and forth,
+    a short and a doubled walk, and the circuit rotated and reversed."""
+    n, m = g.vertex_count, len(vertices) - 1
+    k = int(rng.integers(1, m))
+    walks = []
+    for bad in (n, n + 3, -1, int(rng.integers(n))):
+        walk = list(vertices)
+        walk[k] = bad
+        walks.append(walk)
+    walks.append([vertices[0], vertices[0]] + list(vertices[2:-2]) + [n, vertices[0]])
+    a, b = vertices[:2]
+    if m % 2 == 0:
+        walks.append([a, b] * (m // 2) + [a])
+    walks += [[a, b, a], list(vertices) + list(vertices[1:])]
+    walks += [list(vertices[k:]) + list(vertices[1 : k + 1]), list(vertices[::-1])]
+    return walks
+
+
+def _circuit_outcome(convert, g, walk):
+    try:
+        return convert(g, EulerCircuit(walk), 0.25)
+    except Exception as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _kind(outcome) -> str:
+    if isinstance(outcome, QuarterLabeling):
+        return "labels"
+    if outcome[0] is CircuitLabelConflictError:
+        return "mod 4"
+    return next(k for k in ("vertex id", "is not an edge", "exactly once") if k in outcome[1])
+
+
+def test_circuit_to_phases_matches_the_three_pass_reference():
+    rng = np.random.default_rng(24)
+    walks = []
+    for g, vertices in _circuit_corpus():
+        walks += [(g, vertices)] + [(g, w) for w in _corrupted_walks(g, vertices, rng)]
+    kinds, several = Counter(), 0
+    for g, walk in walks:
+        circuit = EulerCircuit(walk)
+        assert check_mod4_circuit(circuit) == reference_check_mod4_circuit(circuit), walk
+        want = _circuit_outcome(reference_circuit_to_phases, g, walk)
+        assert _circuit_outcome(circuit_to_phases, g, walk) == want, (g.edges, walk)
+        kinds[_kind(want)] += 1
+        failing = {v for i, v in enumerate(walk) if (i - walk.index(v)) % 4}
+        several += _kind(want) == "mod 4" and len(failing) > 1
+    assert set(kinds) == {"labels", "mod 4", "vertex id", "is not an edge", "exactly once"}
+    assert several > 100, (kinds, several)
 
 
 def test_circuit_label_conflict_names_the_smallest_failing_vertex():

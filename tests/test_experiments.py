@@ -299,8 +299,11 @@ def test_unknown_family_error_lists_every_family():
 def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         rarity_experiment(6, 0.5, 3, seed=0, budget=-1)
-    with pytest.raises(ValueError, match="budget must be nonnegative"):
-        family_sweep("cycle", [4], budget=-1)
+    # family_sweep reads its budget before it builds a graph: also over an
+    # empty range, and before an unknown family
+    for family, parameters in (("cycle", [4]), ("cycle", range(5, 5)), ("petersen", [4])):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            family_sweep(family, parameters, budget=-1)
     for budget in (5.9, -0.5, float("nan"), float("inf")):
         with pytest.raises(TypeError):
             rarity_experiment(6, 0.5, 3, seed=0, budget=budget)
@@ -308,6 +311,8 @@ def test_negative_budget_is_rejected():
             rarity_experiment(2, 0.5, 3, seed=0, budget=budget)  # no sample reaches admits_cde
         with pytest.raises(TypeError):
             family_sweep("cycle", [4], budget=budget)
+        with pytest.raises(TypeError):
+            family_sweep("cycle", [], budget=budget)
 
 
 # --- exact rarity oracles -------------------------------------------------------

@@ -43,6 +43,10 @@ def test_parse_edge_list_comments_and_numeric_sort():
     g = parse_edge_list("2 10\n10 0")
     assert g.vertex_count == 3
     assert g.edges == ((0, 2), (1, 2))  # names 0, 2, 10 -> ids 0, 1, 2
+    # '²' is a digit to str.isdigit but no decimal int() reads, so all sort as strings
+    assert read_document("0 ²\n² 10\n").names == ("0", "10", "²")
+    # a decimal digit of another script is a number to int(): '٣' is 3
+    assert read_document("٣ 10\n2 ٣").names == ("2", "٣", "10")
 
 
 def test_emit_parse_roundtrip_identity():
@@ -346,6 +350,23 @@ def test_emit_json_rejects_what_parse_json_rejects(fields, message):
     with pytest.raises(ValueError) as parsed:
         parse_json(json.dumps(document))
     assert str(parsed.value) == message
+
+
+def test_base_without_labels_is_refused_by_parse_json_and_emit_json():
+    g = cycle_graph(4)
+    document = json.loads(emit_json(g))
+    for base in (0.5, "junk", None):
+        with pytest.raises(ValueError) as parsed:
+            parse_json(json.dumps({**document, "base": base}))
+        assert str(parsed.value) == "base requires labels"
+    for base in (0.5, "junk"):
+        with pytest.raises(ValueError) as emitted:
+            emit_json(g, base=base)
+        assert str(emitted.value) == "base requires labels"
+    # the fields are checked in parse_json's order, phases before base
+    with pytest.raises(ValueError) as emitted:
+        emit_json(g, phases=[0.0, 1.0], base=0.5)
+    assert str(emitted.value) == "phases must list one value per vertex"
 
 
 def test_emit_json_rejects_iterators_and_ragged_fields():

@@ -163,6 +163,13 @@ def test_jacobian_examples_and_structure():
         j = jacobian(sys_, theta)
         assert np.allclose(j, j.T, atol=1e-14)
         assert np.abs(j.sum(axis=1)).max() < 1e-12
+    # the diagonal is the negated row sum: bit for bit the form that zeroed it first
+    sys_ = OscillatorSystem(Graph(4, [(0, 1), (1, 2)]), coupling=1e5, frequencies=[1, 0, 0, 0])
+    theta = np.array([1e300, -2.5, 0.75, 3.0])
+    old = sys_.coupling * sys_.graph.adjacency_matrix() * np.cos(theta[None, :] - theta[:, None])
+    np.fill_diagonal(old, 0.0)
+    np.fill_diagonal(old, -old.sum(axis=1))
+    assert jacobian(sys_, theta).tobytes() == old.tobytes()
 
 
 def test_energy_examples():

@@ -130,25 +130,36 @@ def _check_state(sys: OscillatorSystem, theta) -> np.ndarray:
 
 
 def _field_fn(sys: OscillatorSystem):
-    """The unchecked vector field of sys as a function of the state.
+    """The unchecked vector field of sys as a function `field(theta, out=None)`.
 
     The hot path shared with the integrator; built per call, not stored, so
-    systems still pickle. On an identical system the coupling sum is the
-    field bit for bit: a difference of two bincount sums is never -0.0, so
-    0 + 1 * x would change no bit of it. np.bincount copies a read-only index
-    array on every call, so the graph's rows are copied once here.
+    systems still pickle and concurrent callers share no buffer. The field
+    is written into out, which must not be theta, or into a new float64
+    array when out is None; the edge sines go into an edge-length buffer the
+    closure owns. On an identical system the coupling sum is the field bit
+    for bit: a difference of two bincount sums is never -0.0, so 0 + 1 * x
+    would change no bit of it. np.bincount copies a read-only index array on
+    every call, so the graph's rows are copied once here; on an edgeless
+    graph it returns int64 zeros, which the float64 out turns into 0.0.
     """
     (u, v), n = sys.graph._rows.copy(), sys.graph.vertex_count
-    sin, bincount = np.sin, np.bincount
+    e = np.empty(u.shape[0])
+    add, multiply, subtract, sin, bincount = np.add, np.multiply, np.subtract, np.sin, np.bincount
 
-    def coupling_sum(theta):
-        s = sin(theta[v] - theta[u])
-        return bincount(u, s, n) - bincount(v, s, n)
+    def coupling_sum(theta, out=None):
+        subtract(theta[v], theta[u], e)
+        sin(e, e)
+        return subtract(bincount(u, e, n), bincount(v, e, n), np.empty(n) if out is None else out)
 
     if sys.is_identical:
         return coupling_sum
     omega, coupling = sys.frequencies, np.array(sys.coupling)
-    return lambda theta: omega + coupling * coupling_sum(theta)
+
+    def field(theta, out=None):
+        c = coupling_sum(theta, out)
+        return add(omega, multiply(coupling, c, c), c)
+
+    return field
 
 
 def vector_field(sys: OscillatorSystem, theta) -> np.ndarray:

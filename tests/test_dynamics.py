@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -504,6 +506,75 @@ def test_integrate_holds_the_lift_and_a_fixed_extra(graph, steps):
     finally:
         tracemalloc.stop()
     assert peak - (steps + 1) * g.vertex_count * 8 < 4_000_000
+
+
+EDGELESS = {
+    "identical": lambda: OscillatorSystem.identical(Graph(3)),
+    "coupled": lambda: OscillatorSystem(Graph(3), 2.0),  # not identical, yet every state is fixed
+    "frequencies": lambda: OscillatorSystem(Graph(3), 1.5, [0.5, -0.25, 1.0]),
+    "no vertices": lambda: OscillatorSystem.identical(Graph(0)),
+}
+
+
+@pytest.mark.parametrize("name", EDGELESS)
+def test_kernel_matches_the_reference_loops_on_edgeless_graphs(name):
+    # np.bincount of an empty index array gives int64 zeros, not float64
+    sys_ = EDGELESS[name]()
+    n = sys_.graph.vertex_count
+    rng = np.random.default_rng(2501)
+    theta, direction = rng.uniform(0, 2 * np.pi, n), rng.normal(size=n)
+    same_trace(sys_, theta, 1e-2, 300)
+    if n == 0:
+        with pytest.raises(ValueError, match="^graph has no vertices$"):
+            instability_probe(sys_, theta, direction, x0=0.05)
+    elif sys_.frequencies.any():
+        with pytest.raises(ValueError, match="not an equilibrium"):
+            instability_probe(sys_, theta, direction, x0=0.05)
+    else:
+        report = same_probe(sys_, theta, direction, x0=0.05, max_steps=1_500)
+        assert (report.escaped, report.converged, report.steps) == (False, True, 256)
+
+
+def trace_bytes(trace):
+    return trace.times.tobytes(), trace.states.tobytes(), trace.energies.tobytes()
+
+
+def test_results_and_inputs_share_no_buffer_with_later_calls():
+    g = hypercube_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    rng = np.random.default_rng(2502)
+    a, b = rng.uniform(0, 2 * np.pi, (2, g.vertex_count))
+    field = vector_field(sys_, a)
+    kept = field.tobytes()
+    vector_field(sys_, b)
+    assert field.tobytes() == kept
+    trace = integrate(sys_, a, 1e-2, 50)
+    kept = trace_bytes(trace)
+    integrate(sys_, b, 1e-2, 50)
+    assert trace_bytes(trace) == kept
+    _, theta, direction = cde_probe_start(g, 2e-2)
+    kept = theta.tobytes(), direction.tobytes()
+    first = instability_probe(sys_, theta, direction, x0=2e-2, max_steps=300)
+    assert (theta.tobytes(), direction.tobytes()) == kept
+    assert instability_probe(sys_, theta, direction, x0=2e-2, max_steps=300) == first
+    assert (theta.tobytes(), direction.tobytes()) == kept
+
+
+def test_concurrent_integrations_match_serial_runs():
+    rng = np.random.default_rng(2503)
+    q7 = hypercube_graph(7)
+    cases = [(OscillatorSystem.identical(q7), rng.uniform(0, 2 * np.pi, q7.vertex_count)),
+             (k24_vertex_start()[0], rng.uniform(0, 2 * np.pi, 6))]
+    serial = [trace_bytes(integrate(s, theta0, 1e-3, 2_000)) for s, theta0 in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(integrate, s, theta0, 1e-3, 2_000) for s, theta0 in cases * 3]
+            traces = [trace_bytes(f.result(timeout=300)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert traces == serial * 3
 
 
 # --- the escape law of the quadratic normal form ---

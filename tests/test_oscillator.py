@@ -312,6 +312,10 @@ def test_vector_field_matches_the_reference_formula_bit_for_bit():
         OscillatorSystem(cycle_graph(4), 1.0, [-0.0] * 4),  # identical, with -0.0 frequencies
         OscillatorSystem(k24, 2.0, construct_nonidentical_cde(k24, 2.0).frequencies),
         OscillatorSystem(g7, 1.7, rng.normal(size=7)),
+        # edgeless: np.bincount of an empty index array returns int64 zeros
+        OscillatorSystem.identical(Graph(3)),
+        OscillatorSystem(Graph(3), 1.5, [0.5, -0.25, 1.0]),
+        OscillatorSystem.identical(Graph(0)),
     ]
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     for sys_ in systems:
@@ -326,6 +330,7 @@ def test_vector_field_matches_the_reference_formula_bit_for_bit():
                 theta[mask] = rng.choice(special, int(mask.sum()))
             with np.errstate(invalid="ignore"):
                 got, want = vector_field(sys_, theta), _reference_field(sys_, theta)
+            assert got.dtype == want.dtype == np.float64, (sys_, got.dtype)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (sys_, theta)
 
 

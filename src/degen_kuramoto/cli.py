@@ -17,14 +17,14 @@ import numpy as np
 from .degeneracy import (
     EulerCircuit,
     QuarterLabeling,
+    _cde_rows,
     circuit_to_phases,
     construct_nonidentical_cde,
-    enumerate_cdes,
     is_cde,
     is_cde_nonidentical,
     phases_to_circuit,
 )
-from .docio import GraphDocument, canonical_json, emit_json, read_document
+from .docio import GraphDocument, _with_labelings, canonical_json, emit_json, read_document
 from .dynamics import (
     descending_sign,
     edge_pair_direction,
@@ -104,12 +104,11 @@ def cmd_detect(args, doc: GraphDocument) -> str:
 
 
 def cmd_enumerate(args, doc: GraphDocument) -> str:
-    labelings = enumerate_cdes(doc.graph, budget=args.budget)
-    report = {
-        "cde_count": len(labelings),
-        "labelings": [{"labels": list(q.labels), "base": q.base} for q in labelings],
-    }
-    return emit_json(doc.graph, names=doc.names, report=report)
+    # the enumerate_cdes labelings, written from their label rows
+    rows = _cde_rows(doc.graph, args.budget, None)
+    count = 0 if rows is None else len(rows)
+    text = emit_json(doc.graph, names=doc.names, report={"cde_count": count, "labelings": []})
+    return text if rows is None else _with_labelings(text, rows)
 
 
 def cmd_circuit(args, doc: GraphDocument) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +71,6 @@ class QuarterLabeling:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-def _zero_based(labels: tuple[int, ...]) -> QuarterLabeling:
-    """QuarterLabeling(labels) for labels already in 0..3, without re-normalizing."""
-    q = object.__new__(QuarterLabeling)
-    # attribute stores, not q.__dict__: that would give each instance its own dict
-    object.__setattr__(q, "labels", labels)
-    object.__setattr__(q, "base", 0.0)
-    return q
 
 
 @dataclass(frozen=True)
@@ -316,6 +308,36 @@ def _count_cdes(g: Graph, budget: int) -> int:
     return math.prod(len(sols) for _, _, sols in _side_split(g, _bfs_forest(g), budget, None))
 
 
+def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray | None:
+    """The labels of enumerate_cdes(g, budget, limit) as a sorted (k, n) int8
+    array, or None when g has no CDE; budget and limit as in enumerate_cdes."""
+    budget = _nonnegative(budget, "budget")
+    if limit is not None:
+        limit = _nonnegative(limit, "limit")
+    if _odd_vertex(g) is not None:
+        return None
+    halves = _side_split(g, _bfs_forest(g), budget, limit)
+    if halves is None:
+        return None
+    k = math.prod(len(sols) for _, _, sols in halves)
+    if limit is not None:
+        k = min(k, limit)
+    # row r is combo r of itertools.product over the halves: the last half
+    # varies fastest, so half h repeats each solution `stride` times in a block
+    # tiled down the rows; only the solutions and repeats the first k rows
+    # reach are built. Column order makes each vertex's column contiguous.
+    labels = np.zeros((k, g.vertex_count), dtype=np.int8, order="F")
+    stride = 1
+    for bit, verts, sols in reversed(halves):
+        block = bit + 2 * np.array(sols[: -(-k // stride)], dtype=np.int8)
+        block = np.repeat(block, min(stride, k), axis=0)
+        labels[:, verts] = np.tile(block, (-(-k // len(block)), 1))[:k]
+        stride *= len(sols)
+    if g.vertex_count:  # np.lexsort needs at least one key
+        labels = labels[np.lexsort(labels.T[::-1])]  # tuple order: column 0 first
+    return labels
+
+
 def enumerate_cdes(
     g: Graph, budget: int = 1_000_000, limit: int | None = None
 ) -> list[QuarterLabeling]:
@@ -330,31 +352,21 @@ def enumerate_cdes(
     list before any search. With a `limit`, each side keeps its first
     `limit` solutions and the first `limit` combinations are sorted.
     """
-    budget = _nonnegative(budget, "budget")
-    if limit is not None:
-        limit = _nonnegative(limit, "limit")
-    if _odd_vertex(g) is not None:
+    rows = _cde_rows(g, budget, limit)
+    if rows is None:
         return []
-    halves = _side_split(g, _bfs_forest(g), budget, limit)
-    if halves is None:
-        return []
-    k = math.prod(len(sols) for _, _, sols in halves)
-    if limit is not None:
-        k = min(k, limit)
-    # row r is combo r of itertools.product over the halves: the last half
-    # varies fastest, so half h takes solution (r // stride) % len(sols)
-    labels = np.zeros((k, g.vertex_count), dtype=np.int8)
-    rows = np.arange(k)
-    stride = 1
-    for bit, verts, sols in reversed(halves):
-        pick = 0 if stride >= k else rows // stride % len(sols)
-        labels[:, verts] = bit + 2 * np.array(sols, dtype=np.int8)[pick]
-        stride *= len(sols)
-    n = g.vertex_count
-    if n:  # np.lexsort needs at least one key
-        labels = labels[np.lexsort(labels.T[::-1])]  # tuple order: column 0 first
-    flat = labels.tobytes()  # labels 0..3: each byte is its own int; k empty rows when n = 0
-    return [_zero_based(tuple(flat[r * n : (r + 1) * n])) for r in range(k)]
+    k, n = rows.shape
+    # labels 0..3: each byte is its own int (a zero-size Struct cannot iter_unpack)
+    tuples = struct.Struct(f"{n}B").iter_unpack(rows.tobytes()) if n else [()] * k
+    # already normalized, so stored as they are; attribute stores, not
+    # q.__dict__: that would give each instance its own dict
+    new, put, labelings = object.__new__, object.__setattr__, []
+    for labels in tuples:
+        q = new(QuarterLabeling)
+        put(q, "labels", labels)
+        put(q, "base", 0.0)
+        labelings.append(q)
+    return labelings
 
 
 def circuit_to_phases(g: Graph, circuit: EulerCircuit, base: float = 0.0) -> QuarterLabeling:
@@ -426,6 +438,9 @@ def phases_to_circuit(g: Graph, q: QuarterLabeling) -> EulerCircuit:
         while succ[w]:
             w = succ[w].pop()
             walk.append(w)
+        # an invariant guard that cannot fire: the label-increasing digraph is
+        # balanced (in-degree = out-degree = deg/2), so a greedy walk only stops
+        # at its start vertex
         if w != v:
             raise AssertionError("walk stalled away from its start vertex")
         walks.append(iter(walk))

@@ -153,6 +153,24 @@ def emit_json(
     return canonical_json(doc)
 
 
+_LABELING = b'{"base":0,"labels":['
+
+
+def _with_labelings(text: str, rows: np.ndarray) -> str:
+    """text with one {"base":0,"labels":[...]} object per row of the (k, n) label
+    array rows (labels 0..3) in its first "labelings" list, which must be empty:
+    the bytes emit_json writes for those labelings as dicts, one template row
+    per labeling with its digits added in."""
+    k, n = rows.shape
+    digits = slice(len(_LABELING), len(_LABELING) + 2 * n, 2)
+    template = _LABELING + b",".join([b"0"] * n) + b"]},"
+    block = np.empty((k, len(template)), dtype=np.uint8)
+    block[:] = np.frombuffer(template, dtype=np.uint8)
+    block[:, digits] += rows.view(np.uint8)  # "0" + label
+    head, marker, tail = text.partition('"labelings":[')
+    return head + marker + block.tobytes()[:-1].decode("ascii") + tail
+
+
 def _plain(value):
     """numpy values as Python values, also inside a list or tuple; nothing else coerced."""
     if isinstance(value, (list, tuple)):

@@ -15,7 +15,6 @@ from .graphs import (
     _pair_index,
     complete_bipartite_graph,
     cycle_graph,
-    glue_four_cycle,
     hypercube_graph,
 )
 
@@ -42,8 +41,6 @@ _Z95 = 1.959963984540054
 
 
 def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    if trials <= 0:
-        return (0.0, 1.0)
     z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -220,9 +217,11 @@ def _family_graph(family: str, parameter: int, glue_seed: str) -> Graph:
             raise ValueError(f"unknown glue seed {glue_seed!r}; pick from {sorted(GLUE_SEEDS)}")
         if parameter < 0:
             raise ValueError("glue-chain parameter counts glue steps, must be >= 0")
-        for _ in range(parameter):
-            g = glue_four_cycle(g, 0)
-        return g
+        # glue_four_cycle(g, 0) `parameter` times: cycle i runs through 0 and m = n + 3i
+        n = g.vertex_count
+        cycles = [e for m in range(n, n + 3 * parameter, 3)
+                  for e in ((0, m), (m, m + 1), (m + 1, m + 2), (m + 2, 0))]
+        return Graph(n + 3 * parameter, [*g.edges, *cycles])
     raise ValueError(f"unknown family {family!r}; pick from {', '.join(FAMILIES)}")
 
 

@@ -13,6 +13,7 @@ import pytest
 import degen_kuramoto
 from degen_kuramoto import cli_dispatch
 from degen_kuramoto.cli import build_parser
+from helpers import reference_emit_json, reference_enumerate_cdes
 
 C4_EDGES = "0 1\n1 2\n2 3\n3 0\n"
 K3_EDGES = "0 1\n1 2\n2 0\n"
@@ -80,6 +81,37 @@ def test_enumerate_q6_prints_the_pinned_bytes(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "86cb9912720b603a769e3638cc7d49aaf5091b661f9fe256c3f62af2f2022213"
     )
+
+
+def test_enumerate_documents_match_the_reference_writer(capsys, tmp_path):
+    # the labelings are written from their label rows; each document must be
+    # the one the listing gives as dicts, and a budget error stays one line
+    dk = degen_kuramoto
+    c4 = dk.cycle_graph(4)
+    two_c4 = dk.Graph(9, [(u + d, v + d) for d in (1, 5) for u, v in c4.edges])
+    graphs = [dk.Graph(0), dk.Graph(3), c4, two_c4, dk.cycle_graph(5), dk.cycle_graph(6),
+              dk.Graph(3, [(0, 1), (1, 2)]), dk.complete_bipartite_graph(2, 4),
+              dk.hypercube_graph(4), dk.glue_four_cycle(dk.cycle_graph(8), 0)]
+    rng = np.random.default_rng(26)
+    outcomes = set()
+    for i, g in enumerate(graphs):
+        names = [f"v{k}" for k in rng.permutation(g.vertex_count)]
+        path = tmp_path / f"g{i}.json"
+        path.write_text(dk.emit_json(g, names=names))
+        for budget in (1_000_000, 0, 3, 40):
+            code, out, err = run(capsys, "enumerate", "--input", str(path), "--budget", str(budget))
+            try:
+                labelings = reference_enumerate_cdes(g, budget=budget)
+            except dk.BudgetExceededError as exc:
+                assert (code, out, err) == (1, "", f"error: {exc}\n")
+                outcomes.add("budget exceeded")
+                continue
+            report = {"cde_count": len(labelings),
+                      "labelings": [{"labels": list(q.labels), "base": q.base} for q in labelings]}
+            assert (code, err) == (0, "")
+            assert out == reference_emit_json(g, names=names, report=report)
+            outcomes.add(min(len(labelings), 2))
+    assert outcomes == {0, 1, 2, "budget exceeded"}
 
 
 def test_enumerate_reports_no_cde_when_a_later_component_is_an_odd_cycle(capsys, tmp_path):
@@ -421,6 +453,17 @@ def test_rarity_deterministic(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert sum(report["counts"].values()) == 40
+
+
+def test_rarity_with_witnesses_prints_the_pinned_bytes(capsys):
+    # 3 witnesses; admits 3, triangle 2, odd_degree 95
+    code, out, err = run(capsys, "rarity", "--n", "5", "--p", "0.5", "--samples", "100",
+                         "--seed", "0")
+    assert (code, err) == (0, "")
+    assert [w["sample"] for w in json.loads(out)["witnesses"]] == [26, 59, 67]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f4e043100b195e6cb2a41a13ac539fa3e62e8fcc123b5a6710b4e28166d309d"
+    )
 
 
 def test_sweep_csv(capsys):

@@ -371,6 +371,54 @@ def test_room_lists_shared_across_side_searches(monkeypatch):
             assert got == reference_enumerate_cdes(empty, limit=limit) == [QuarterLabeling(labels)]
 
 
+def _relabel(g, perm):
+    return Graph(g.vertex_count, [(perm[u].item(), perm[v].item()) for u, v in g.edges])
+
+
+def _union(*parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        offset += part.vertex_count
+    return Graph(offset, edges)
+
+
+def test_label_rows_list_the_reference_labelings():
+    # enumerate_cdes wraps the sorted rows of _cde_rows; both against the
+    # product listing kept in helpers, and against the 4^(N-1) scan where a
+    # connected graph is small enough
+    rng = np.random.default_rng(26)
+    c4, c8, k24 = cycle_graph(4), cycle_graph(8), complete_bipartite_graph(2, 4)
+    corpus = [
+        Graph(0), Graph(1), Graph(4), _union(Graph(2), c4, Graph(1)),
+        _union(c4, c4), _union(c4, k24, c8), _union(hypercube_graph(4), c4),
+        _union(c4, cycle_graph(5)), _union(cycle_graph(6), c4),
+        complete_graph(3), cycle_graph(6), Graph(3, [(0, 1), (1, 2)]),
+        c4, c8, cycle_graph(12), k24, complete_bipartite_graph(4, 4), hypercube_graph(3),
+        glue_four_cycle(glue_four_cycle(c4, 0), 2), _refute_graph(),
+    ]
+    corpus += [random_even_bipartite_graph(int(rng.integers(4, 13)), int(rng.integers(1, 7)), rng)
+               for _ in range(40)]
+    corpus += [_relabel(g, rng.permutation(g.vertex_count)) for g in corpus for _ in range(2)]
+    listed = 0
+    for g in corpus:
+        connected = g.vertex_count and len(connected_components(g)) == 1
+        for limit in (None, 0, 1, 5):
+            got = enumerate_cdes(g, limit=limit)
+            assert got == reference_enumerate_cdes(g, limit=limit), (g.edges, limit)
+            rows = degeneracy._cde_rows(g, 1_000_000, limit)
+            listing = [] if rows is None else list(map(tuple, rows.tolist()))
+            assert [q.labels for q in got] == listing
+            assert rows is None or rows.dtype == np.int8 and rows.shape[1] == g.vertex_count
+            for q in got:
+                assert vars(q) == vars(QuarterLabeling(q.labels))
+                assert all(type(label) is int for label in q.labels)
+            if limit is None and connected and g.vertex_count <= 9:
+                assert [q.labels for q in got] == sorted(brute_force_cdes(g))
+            listed += len(got)
+    assert listed > 500
+
+
 def test_q6_search_cost_is_pinned():
     # 70 x 140 side solutions in exactly 11,931 search nodes; the search runs
     # in BFS order, so relabeling the vertices leaves the cost unchanged

@@ -11,11 +11,12 @@ from degen_kuramoto import (
     enumerate_cdes,
     erdos_renyi,
     family_sweep,
+    glue_four_cycle,
     rarity_experiment,
 )
 from degen_kuramoto import experiments
 from degen_kuramoto.docio import canonical_json
-from degen_kuramoto.experiments import BUCKETS, _chunk_filters, _family_graph
+from degen_kuramoto.experiments import BUCKETS, GLUE_SEEDS, _chunk_filters, _family_graph
 from helpers import (
     brute_force_cdes,
     even_degree_edge_sets,
@@ -288,6 +289,22 @@ def test_family_sweep_unknown_family():
         family_sweep("petersen", [1])
     with pytest.raises(ValueError, match="glue seed"):
         family_sweep("glue-chain", [1], glue_seed="c6")
+
+
+def test_a_glue_chain_is_its_seed_glued_at_vertex_0_parameter_times():
+    for seed, make in GLUE_SEEDS.items():
+        g = make()
+        for parameter in range(25):
+            assert _family_graph("glue-chain", parameter, seed) == g, (seed, parameter)
+            g = glue_four_cycle(g, 0)
+
+
+def test_a_negative_glue_chain_parameter_is_rejected_after_the_seed():
+    with pytest.raises(ValueError) as info:
+        family_sweep("glue-chain", [-1], budget=1_000)
+    assert str(info.value) == "glue-chain parameter counts glue steps, must be >= 0"
+    with pytest.raises(ValueError, match="unknown glue seed 'c6'"):
+        family_sweep("glue-chain", [-1], glue_seed="c6")
 
 
 def test_unknown_family_error_lists_every_family():

@@ -35,6 +35,13 @@ def test_graph_normalizes_and_validates():
     assert Graph(np.int64(4), [(np.uint8(3), np.int32(0))]).edges == ((0, 3),)
 
 
+def test_graph_equality_with_another_type_and_repr():
+    assert Graph(2).__eq__(5) is NotImplemented
+    assert Graph(2) != 5 and Graph(2) == Graph(2, ())
+    assert repr(Graph(0)) == "Graph(vertices=0, edges=0)"
+    assert repr(hypercube_graph(3)) == "Graph(vertices=8, edges=12)"
+
+
 def test_graph_edge_input_order_and_type_do_not_matter():
     rng = np.random.default_rng(5)
     base = erdos_renyi(30, 0.2, 11)

@@ -119,6 +119,14 @@ def test_system_validation():
     assert not OscillatorSystem(g, 2.0).is_identical
 
 
+def test_system_repr():
+    g = cycle_graph(4)
+    assert repr(OscillatorSystem.identical(g)) == (
+        "OscillatorSystem(Graph(vertices=4, edges=4), coupling=1.0, identical=True)")
+    assert repr(OscillatorSystem(g, 2.5, [1.0, 0.0, 0.0, -1.0])) == (
+        "OscillatorSystem(Graph(vertices=4, edges=4), coupling=2.5, identical=False)")
+
+
 def test_system_holds_no_dense_matrix():
     g = cycle_graph(2000)  # a dense adjacency matrix would take 32 MB
     tracemalloc.start()

@@ -106,9 +106,8 @@ def cmd_detect(args, doc: GraphDocument) -> str:
 def cmd_enumerate(args, doc: GraphDocument) -> str:
     # the enumerate_cdes labelings, written from their label rows
     rows = _cde_rows(doc.graph, args.budget, None)
-    count = 0 if rows is None else len(rows)
-    text = emit_json(doc.graph, names=doc.names, report={"cde_count": count, "labelings": []})
-    return text if rows is None else _with_labelings(text, rows)
+    text = emit_json(doc.graph, names=doc.names, report={"cde_count": len(rows), "labelings": []})
+    return _with_labelings(text, rows)
 
 
 def cmd_circuit(args, doc: GraphDocument) -> str:

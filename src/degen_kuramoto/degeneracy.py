@@ -308,17 +308,17 @@ def _count_cdes(g: Graph, budget: int) -> int:
     return math.prod(len(sols) for _, _, sols in _side_split(g, _bfs_forest(g), budget, None))
 
 
-def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray | None:
+def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray:
     """The labels of enumerate_cdes(g, budget, limit) as a sorted (k, n) int8
-    array, or None when g has no CDE; budget and limit as in enumerate_cdes."""
+    array, with no rows when g has no CDE; budget and limit as in enumerate_cdes."""
     budget = _nonnegative(budget, "budget")
     if limit is not None:
         limit = _nonnegative(limit, "limit")
-    if _odd_vertex(g) is not None:
-        return None
-    halves = _side_split(g, _bfs_forest(g), budget, limit)
-    if halves is None:
-        return None
+    halves = None
+    if _odd_vertex(g) is None:
+        halves = _side_split(g, _bfs_forest(g), budget, limit)
+    if halves is None:  # an odd degree, a same-side edge or a side with no solutions
+        return np.zeros((0, g.vertex_count), dtype=np.int8)
     k = math.prod(len(sols) for _, _, sols in halves)
     if limit is not None:
         k = min(k, limit)
@@ -347,14 +347,13 @@ def enumerate_cdes(
     docstring), in BFS order from the component's smallest vertex, which
     takes label 0; the CDEs are the product of all the side solutions.
     Isolated vertices get label 0. Raises BudgetExceededError when the
-    searches together visit more than `budget` nodes; an empty list means
-    no CDE exists. An odd degree or an odd cycle anywhere returns the empty
-    list before any search. With a `limit`, each side keeps its first
-    `limit` solutions and the first `limit` combinations are sorted.
+    searches together visit more than `budget` nodes; an empty list (no
+    `_cde_rows` rows to wrap) means no CDE exists. An odd degree or an odd
+    cycle anywhere returns the empty list before any search. With a `limit`,
+    each side keeps its first `limit` solutions and the first `limit`
+    combinations are sorted.
     """
     rows = _cde_rows(g, budget, limit)
-    if rows is None:
-        return []
     k, n = rows.shape
     # labels 0..3: each byte is its own int (a zero-size Struct cannot iter_unpack)
     tuples = struct.Struct(f"{n}B").iter_unpack(rows.tobytes()) if n else [()] * k

@@ -84,9 +84,6 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-_INT = frozenset((int,))
-
-
 def _write(value, out: list) -> None:
     if type(value) is int:  # bools go on to json.dumps
         out.append(str(value))
@@ -104,9 +101,6 @@ def _write(value, out: list) -> None:
             _write(value[key], out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
-        if _INT.issuperset(map(type, value)):  # only plain ints; stops at the first other item
-            out.append("[" + ",".join(map(str, value)) + "]")
-            return
         out.append("[")
         for i, item in enumerate(value):
             if i:
@@ -146,27 +140,24 @@ def emit_json(
     fields = {key: _plain(v) for key, v in given.items() if v is not None}
     doc: dict = {
         "format": FORMAT,
-        "vertices": list(names),
-        "edges": [[u, v] for u, v in g.edges],
+        "vertices": names,
+        "edges": g.edges,
     }
     doc.update((key, v) for key, v in _attachments(n, fields).items() if v is not None)
     return canonical_json(doc)
 
 
-_LABELING = b'{"base":0,"labels":['
-
-
 def _with_labelings(text: str, rows: np.ndarray) -> str:
     """text with one {"base":0,"labels":[...]} object per row of the (k, n) label
     array rows (labels 0..3) in its first "labelings" list, which must be empty:
-    the bytes emit_json writes for those labelings as dicts, one template row
-    per labeling with its digits added in."""
+    the bytes emit_json writes for those labelings as dicts, one canonical_json
+    template row per labeling with its digits added in. No rows leave text as it is."""
     k, n = rows.shape
-    digits = slice(len(_LABELING), len(_LABELING) + 2 * n, 2)
-    template = _LABELING + b",".join([b"0"] * n) + b"]},"
+    template = canonical_json({"base": 0, "labels": [0] * n}).encode()[:-1] + b","
+    start = template.index(b"[") + 1
     block = np.empty((k, len(template)), dtype=np.uint8)
     block[:] = np.frombuffer(template, dtype=np.uint8)
-    block[:, digits] += rows.view(np.uint8)  # "0" + label
+    block[:, start : start + 2 * n : 2] += rows.view(np.uint8)  # "0" + label
     head, marker, tail = text.partition('"labelings":[')
     return head + marker + block.tobytes()[:-1].decode("ascii") + tail
 

@@ -137,6 +137,7 @@ def rarity_experiment(
     seed = operator.index(seed)
     n = operator.index(n)
     kept = _gnp_pairs(n, p)
+    p = float(p)  # checked by _gnp_pairs; a numpy float or a bool is stored as a float
     budget = _nonnegative(budget, "budget")
     keys = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64).tolist()
     u, v = _pair_index(n)

@@ -273,6 +273,30 @@ def _refute_graph():
     return g
 
 
+def _doubled_odd_cycle(k):
+    """C_k with each edge replaced by two paths of length 2: 3k vertices, 4k
+    edges, connected, bipartite and Eulerian, and no CDE when k is odd."""
+    edges = []
+    for i in range(k):
+        for mid in (k + 2 * i, k + 2 * i + 1):
+            edges += [(i, mid), (mid, (i + 1) % k)]
+    return Graph(3 * k, edges)
+
+
+def test_bipartite_even_degrees_and_4_dividing_m_are_not_sufficient():
+    # each middle vertex needs exactly one of its two ends at s = 1, so the
+    # s values of the cycle vertices would have to 2-colour the odd cycle C_k
+    rng = np.random.default_rng(7)
+    for k in (3, 5, 7):
+        g = _doubled_odd_cycle(k)
+        assert (g.vertex_count, g.edge_count) == (3 * k, 4 * k)
+        assert len(connected_components(g)) == 1 and is_bipartite(g) and is_eulerian(g)
+        for h in (g, *(_relabel(g, rng.permutation(3 * k)) for _ in range(2))):
+            rep = admits_cde(h)
+            assert not rep.admits and rep.decided_by == "enumeration", h.edges
+            assert enumerate_cdes(h) == []
+
+
 def test_one_bfs_per_admits_cde_and_two_per_sweep_row(monkeypatch):
     calls = []
     real = graphs._bfs_forest
@@ -315,6 +339,7 @@ def test_side_split_matches_the_separate_searches():
         cycle_graph(4), cycle_graph(6), cycle_graph(8), cycle_graph(12),
         hypercube_graph(3), q4, q6, complete_bipartite_graph(2, 4),
         complete_bipartite_graph(4, 4), _refute_graph(),
+        _doubled_odd_cycle(3), _doubled_odd_cycle(5), _doubled_odd_cycle(7),
         Graph(32, list(q4.edges) + [(u + 16, v + 16) for u, v in q4.edges]),
         Graph(69, list(q6.edges) + [(64 + k, 64 + (k + 1) % 5) for k in range(5)]),
     ]
@@ -396,6 +421,7 @@ def test_label_rows_list_the_reference_labelings():
         complete_graph(3), cycle_graph(6), Graph(3, [(0, 1), (1, 2)]),
         c4, c8, cycle_graph(12), k24, complete_bipartite_graph(4, 4), hypercube_graph(3),
         glue_four_cycle(glue_four_cycle(c4, 0), 2), _refute_graph(),
+        _doubled_odd_cycle(3), _doubled_odd_cycle(5), _doubled_odd_cycle(7),
     ]
     corpus += [random_even_bipartite_graph(int(rng.integers(4, 13)), int(rng.integers(1, 7)), rng)
                for _ in range(40)]
@@ -407,9 +433,8 @@ def test_label_rows_list_the_reference_labelings():
             got = enumerate_cdes(g, limit=limit)
             assert got == reference_enumerate_cdes(g, limit=limit), (g.edges, limit)
             rows = degeneracy._cde_rows(g, 1_000_000, limit)
-            listing = [] if rows is None else list(map(tuple, rows.tolist()))
-            assert [q.labels for q in got] == listing
-            assert rows is None or rows.dtype == np.int8 and rows.shape[1] == g.vertex_count
+            assert [q.labels for q in got] == list(map(tuple, rows.tolist()))
+            assert rows.dtype == np.int8 and rows.shape == (len(got), g.vertex_count)
             for q in got:
                 assert vars(q) == vars(QuarterLabeling(q.labels))
                 assert all(type(label) is int for label in q.labels)
@@ -633,6 +658,9 @@ def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
             q = circuit_to_phases(g, circuit)
             assert all(q.labels[v] == i % 4 for i, v in enumerate(vertices))
             assert is_cde(g, q.phases())
+            # the reversed circuit maps to the reflected labeling, -labels mod 4
+            reversed_q = circuit_to_phases(g, EulerCircuit(vertices[::-1]))
+            assert reversed_q.labels == tuple(-label % 4 for label in q.labels)
         else:
             with pytest.raises(CircuitLabelConflictError) as info:
                 circuit_to_phases(g, circuit)

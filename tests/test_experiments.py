@@ -161,6 +161,13 @@ def test_rarity_reads_n_and_samples_as_integers():
     assert report == rarity_experiment(12, 0.5, 5, 1)
     assert canonical_json(report.to_dict()) == canonical_json(
         rarity_experiment(12, 0.5, 5, 1).to_dict())
+    # p is stored as a float, so a numpy float serializes and a bool prints as a number
+    for p, text in ((np.float32(0.5), '"p":0.5,'), (np.float64(0.5), '"p":0.5,'),
+                    (True, '"p":1,'), (1, '"p":1,'), (0, '"p":0,')):
+        report = rarity_experiment(5, p, 20, 0)
+        assert type(report.p) is float
+        assert text in canonical_json(report.to_dict())
+        assert report.counts == rarity_experiment(5, float(p), 20, 0).counts
 
 
 def test_rarity_keys_one_philox_per_call(monkeypatch):

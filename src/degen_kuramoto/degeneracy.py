@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -310,32 +312,42 @@ def _count_cdes(g: Graph, budget: int) -> int:
 
 def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray:
     """The labels of enumerate_cdes(g, budget, limit) as a sorted (k, n) int8
-    array, with no rows when g has no CDE; budget and limit as in enumerate_cdes."""
+    array, with no rows when g has no CDE; budget and limit as in enumerate_cdes.
+
+    Labels are side + 2 s with each vertex's side fixed, so rows sort as their
+    s bits, packed vertex 0 first. Row r of itertools.product over the halves
+    (the last varies fastest) ORs each half's packed solution r // stride %
+    len(sols); a half with one solution in all k rows goes into one shared row.
+    """
     budget = _nonnegative(budget, "budget")
     if limit is not None:
         limit = _nonnegative(limit, "limit")
+    n = g.vertex_count
     halves = None
     if _odd_vertex(g) is None:
-        halves = _side_split(g, _bfs_forest(g), budget, limit)
+        forest = _bfs_forest(g)
+        halves = _side_split(g, forest, budget, limit)
     if halves is None:  # an odd degree, a same-side edge or a side with no solutions
-        return np.zeros((0, g.vertex_count), dtype=np.int8)
+        return np.zeros((0, n), dtype=np.int8)
     k = math.prod(len(sols) for _, _, sols in halves)
     if limit is not None:
         k = min(k, limit)
-    # row r is combo r of itertools.product over the halves: the last half
-    # varies fastest, so half h repeats each solution `stride` times in a block
-    # tiled down the rows; only the solutions and repeats the first k rows
-    # reach are built. Column order makes each vertex's column contiguous.
-    labels = np.zeros((k, g.vertex_count), dtype=np.int8, order="F")
+    fixed = np.zeros(n, dtype=bool)  # the s bits of the halves that never vary
+    keys = np.zeros((k, -(-n // 8)), dtype=np.uint8)
     stride = 1
-    for bit, verts, sols in reversed(halves):
-        block = bit + 2 * np.array(sols[: -(-k // stride)], dtype=np.int8)
-        block = np.repeat(block, min(stride, k), axis=0)
-        labels[:, verts] = np.tile(block, (-(-k // len(block)), 1))[:k]
+    for _, verts, sols in reversed(halves):
+        if stride >= k or len(sols) == 1:  # also: r // stride overflows int64 at 2**63
+            fixed[verts] = sols[0]
+        else:
+            bits = np.zeros((min(len(sols), -(-k // stride)), n), dtype=bool)
+            bits[:, verts] = sols[: len(bits)]
+            keys |= np.packbits(bits, axis=1)[np.arange(k) // stride % len(sols)]
         stride *= len(sols)
-    if g.vertex_count:  # np.lexsort needs at least one key
-        labels = labels[np.lexsort(labels.T[::-1])]  # tuple order: column 0 first
-    return labels
+    keys |= np.packbits(fixed)
+    if n:  # np.lexsort needs at least one key
+        keys = keys[np.lexsort(keys.T[::-1])]  # the last key sorts first: byte 0
+    labels = 2 * np.unpackbits(keys, axis=1, count=n) + np.array(forest[2], dtype=np.uint8)
+    return labels.view(np.int8)
 
 
 def enumerate_cdes(
@@ -351,7 +363,8 @@ def enumerate_cdes(
     `_cde_rows` rows to wrap) means no CDE exists. An odd degree or an odd
     cycle anywhere returns the empty list before any search. With a `limit`,
     each side keeps its first `limit` solutions and the first `limit`
-    combinations are sorted.
+    combinations are sorted. The labelings wrap the rows in map calls, with
+    the attribute stores QuarterLabeling's own __post_init__ makes.
     """
     rows = _cde_rows(g, budget, limit)
     k, n = rows.shape
@@ -359,12 +372,9 @@ def enumerate_cdes(
     tuples = struct.Struct(f"{n}B").iter_unpack(rows.tobytes()) if n else [()] * k
     # already normalized, so stored as they are; attribute stores, not
     # q.__dict__: that would give each instance its own dict
-    new, put, labelings = object.__new__, object.__setattr__, []
-    for labels in tuples:
-        q = new(QuarterLabeling)
-        put(q, "labels", labels)
-        put(q, "base", 0.0)
-        labelings.append(q)
+    labelings = list(map(object.__new__, repeat(QuarterLabeling, k)))
+    deque(map(object.__setattr__, labelings, repeat("labels"), tuples), 0)
+    deque(map(object.__setattr__, labelings, repeat("base"), repeat(0.0)), 0)
     return labelings
 
 

@@ -444,6 +444,60 @@ def test_label_rows_list_the_reference_labelings():
     assert listed > 500
 
 
+def _padded(n, *parts):
+    # the parts with isolated vertices between them, and after them up to n
+    spaced = [piece for part in parts for piece in (part, Graph(1))]
+    used = sum(part.vertex_count for part in spaced)
+    return _union(*spaced, Graph(n - used))
+
+
+def _across_bytes(g):
+    # consecutive vertices go to consecutive key bytes (vertex v to byte v % B
+    # of the B = ceil(n / 8) bytes), so each half is spread over the key
+    n = g.vertex_count
+    nbytes = -(-n // 8)
+    perm = np.empty(n, dtype=np.int64)
+    perm[sorted(range(n), key=lambda v: (v % nbytes, v // nbytes))] = np.arange(n)
+    return _relabel(g, perm)
+
+
+def test_packed_rows_at_byte_and_word_edges():
+    # _cde_rows packs the s bits eight vertices a byte and sorts the byte
+    # columns; graphs of 7 to 130 vertices put halves across byte and 64-bit
+    # word boundaries, and products of three or more varying halves are cut
+    # by limits that fall mid-stride
+    rng = np.random.default_rng(29)
+    c4, k24, q3, q4 = (cycle_graph(4), complete_bipartite_graph(2, 4),
+                       hypercube_graph(3), hypercube_graph(4))
+    corpus = [
+        _padded(7, c4), glue_four_cycle(c4, 0),
+        _padded(8, c4), _union(c4, c4), q3, _union(Graph(1), k24, Graph(1)),
+        _padded(9, c4), _union(c4, Graph(1), c4), glue_four_cycle(k24, 0), glue_four_cycle(k24, 2),
+        _padded(63, q4, k24, c4, c4), _padded(63, c4, q3, k24),
+        _padded(64, k24, q4, c4, c4), _padded(64, c4, k24, c4, k24),
+        _padded(65, c4, c4, q4, k24), _padded(130, q4, c4, k24, c4),
+        _padded(130, c4, k24, c4, c4, c4, c4),
+    ]
+    assert sorted({g.vertex_count for g in corpus}) == [7, 8, 9, 63, 64, 65, 130]
+    corpus += [_across_bytes(g) for g in corpus]
+    corpus += [_relabel(g, rng.permutation(g.vertex_count)) for g in corpus[: len(corpus) // 2]]
+    varying = 0
+    for g in corpus:
+        n = g.vertex_count
+        halves = degeneracy._side_split(g, graphs._bfs_forest(g), 1_000_000, None) or []
+        varying += sum(len(sols) > 1 for _, _, sols in halves) >= 3
+        connected = len(connected_components(g)) == 1
+        for limit in (None, 1, 5, 37):
+            got = enumerate_cdes(g, limit=limit)
+            assert got == reference_enumerate_cdes(g, limit=limit), (g.edges, limit)
+            rows = degeneracy._cde_rows(g, 1_000_000, limit)
+            assert rows.dtype == np.int8 and rows.shape == (len(got), n)
+            assert [q.labels for q in got] == list(map(tuple, rows.tolist()))
+            if limit is None and connected and n <= 9:
+                assert [q.labels for q in got] == sorted(brute_force_cdes(g))
+    assert varying >= 12
+
+
 def test_q6_search_cost_is_pinned():
     # 70 x 140 side solutions in exactly 11,931 search nodes; the search runs
     # in BFS order, so relabeling the vertices leaves the cost unchanged

@@ -305,11 +305,6 @@ def _side_split(g: Graph, forest, budget: int, limit: int | None):
     return halves
 
 
-def _count_cdes(g: Graph, budget: int) -> int:
-    """len(enumerate_cdes(g, budget)) on a graph admits_cde admits: a product of side counts."""
-    return math.prod(len(sols) for _, _, sols in _side_split(g, _bfs_forest(g), budget, None))
-
-
 def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray:
     """The labels of enumerate_cdes(g, budget, limit) as a sorted (k, n) int8
     array, with no rows when g has no CDE; budget and limit as in enumerate_cdes.
@@ -527,23 +522,29 @@ class AdmitsReport:
         return self.admits
 
 
+def _admits(g: Graph, budget: int, limit: int | None):
+    """admits_cde's filter cascade on a budget already read, and the side split it searched
+    (each side's first `limit` solutions), None when a filter decides or no CDE exists."""
+    if g.edge_count == 0:
+        return AdmitsReport(True, "edgeless", edgeless=True), None
+    k = _odd_vertex(g)
+    if k is not None:
+        return AdmitsReport(False, "odd-degree", odd_degree_vertex=k), None
+    forest = _, parent, _, conflict = _bfs_forest(g)
+    if conflict is None:
+        halves = _side_split(g, forest, budget, limit)
+        return AdmitsReport(halves is not None, "enumeration"), halves
+    tri = contains_triangle(g)  # a triangle is an odd cycle: sought only now
+    if tri is not None:
+        return AdmitsReport(False, "triangle", triangle=tri), None
+    return AdmitsReport(False, "non-bipartite", odd_cycle=_odd_cycle(parent, *conflict)), None
+
+
 def admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
     """Cheap necessary filters, then an existence search per component.
 
-    Filter order: edgeless graphs are trivially degenerate (flagged), any
-    odd degree refutes, then a triangle, then non-bipartiteness; otherwise
-    the side split, on the same BFS, decides. Raises BudgetExceededError.
+    Filter order: edgeless graphs are trivially degenerate (flagged), any odd degree
+    refutes, then a triangle, then non-bipartiteness; otherwise the side split, on the
+    same BFS, decides, each side stopping at its first solution. Raises BudgetExceededError.
     """
-    budget = _nonnegative(budget, "budget")
-    if g.edge_count == 0:
-        return AdmitsReport(True, "edgeless", edgeless=True)
-    k = _odd_vertex(g)
-    if k is not None:
-        return AdmitsReport(False, "odd-degree", odd_degree_vertex=k)
-    forest = _, parent, _, conflict = _bfs_forest(g)
-    if conflict is None:
-        return AdmitsReport(_side_split(g, forest, budget, 1) is not None, "enumeration")
-    tri = contains_triangle(g)  # a triangle is an odd cycle: sought only now
-    if tri is not None:
-        return AdmitsReport(False, "triangle", triangle=tri)
-    return AdmitsReport(False, "non-bipartite", odd_cycle=_odd_cycle(parent, *conflict))
+    return _admits(g, _nonnegative(budget, "budget"), 1)[0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import BudgetExceededError, _count_cdes, _nonnegative, admits_cde
+from .degeneracy import BudgetExceededError, _admits, _nonnegative, admits_cde
 from .graphs import (
     Graph,
     _gnp_pairs,
@@ -234,19 +234,18 @@ def family_sweep(
 ) -> list[FamilySweepRow]:
     """Full degeneracy report per parameter value of a graph family.
 
-    Families: "cycle" (parameter = length), "hypercube" (parameter =
-    dimension), "glue-chain" (parameter = number of 4-cycles glued onto the
-    seed graph at vertex 0; seeds: c4, c8, k24). Every family graph is
-    connected, so when a CDE exists its Euler circuit walks all the edges:
-    circuit_length is the edge count. Each parameter is read with
-    operator.index (a float raises TypeError).
+    Families: "cycle" (parameter = length), "hypercube" (parameter = dimension),
+    "glue-chain" (parameter = number of 4-cycles glued onto the seed graph at vertex 0;
+    seeds: c4, c8, k24). One search per graph, within `budget`, decides and counts the
+    CDEs. Every family graph is connected, so circuit_length is the edge count when a CDE
+    exists. Each parameter is read with operator.index (a float raises TypeError).
     """
     budget = _nonnegative(budget, "budget")
     rows = []
     for parameter in map(operator.index, parameters):
         g = _family_graph(family, parameter, glue_seed)
-        report = admits_cde(g, budget=budget)
-        count = _count_cdes(g, budget) if report.admits and not report.edgeless else 0
+        report, halves = _admits(g, budget, None)
+        count = math.prod(len(sols) for _, _, sols in halves) if halves else 0
         rows.append(
             FamilySweepRow(
                 family=family,

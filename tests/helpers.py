@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from degen_kuramoto import (
     CircuitLabelConflictError,
     EscapeReport,
     EulerCircuit,
+    FamilySweepRow,
     Graph,
     Mod4Verdict,
     NonFiniteStateError,
@@ -34,7 +36,8 @@ from degen_kuramoto import (
     phase_vector,
 )
 from degen_kuramoto.docio import _format_float
-from degen_kuramoto.experiments import BUCKETS, _wilson_interval
+from degen_kuramoto.degeneracy import _side_split
+from degen_kuramoto.experiments import BUCKETS, _family_graph, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
 from degen_kuramoto.render import PALETTE
@@ -308,6 +311,61 @@ def random_euler_circuit(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(circuit)
 
 
+def euler_circuits(g: Graph):
+    """Every Euler circuit of g from vertex 0, as a closed vertex tuple, by a DFS
+    over the unused edges (smallest neighbor first). g must have an edge."""
+    unused = [set(g.neighbors(v)) for v in range(g.vertex_count)]
+    walk = [0]
+
+    def extend():
+        if len(walk) > g.edge_count:
+            yield tuple(walk)
+            return
+        v = walk[-1]
+        for w in sorted(unused[v]):
+            unused[v].discard(w)
+            unused[w].discard(v)
+            walk.append(w)
+            yield from extend()
+            walk.pop()
+            unused[v].add(w)
+            unused[w].add(v)
+
+    yield from extend()
+
+
+def best_fibre_size(g: Graph, labels) -> int:
+    """Euler circuits from vertex 0 of D_q, g with each edge oriented toward the
+    label one higher mod 4, by the BEST theorem: (d_0/2) t_0 prod_v (d_v/2 - 1)!.
+    t_0, the arborescences rooted at 0, is the determinant of D_q's out-degree
+    Laplacian without row and column 0, by exact Fraction elimination."""
+    n = g.vertex_count
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for v in range(n):
+        for w in g.neighbors(v):
+            if (labels[w] - labels[v]) % 4 == 1:
+                lap[v][v] += 1
+                lap[v][w] -= 1
+    rows = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for i in range(n - 1):
+        pivot = next((r for r in range(i, n - 1) if rows[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, n - 1):
+            if rows[r][i]:
+                factor = rows[r][i] / rows[i][i]
+                rows[r][i:] = [a - factor * b if b else a for a, b in zip(rows[r][i:], rows[i][i:])]
+    trees = int(det)
+    assert trees == det
+    out = [g.degree(v) // 2 for v in range(n)]
+    return out[0] * trees * math.prod(math.factorial(d - 1) for d in out if d)
+
+
 def reference_phases_to_circuit(g: Graph, q: QuarterLabeling) -> tuple[tuple[int, ...], int]:
     """The splice loop `phases_to_circuit` ran before its one-pass walk, for a
     connected graph and an exact CDE: a greedy closed walk from vertex 0, then
@@ -462,6 +520,24 @@ def reference_admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
         return AdmitsReport(False, "non-bipartite", odd_cycle=split.odd_cycle)
     found = reference_enumerate_cdes(g, budget=budget, limit=1)
     return AdmitsReport(bool(found), "enumeration")
+
+
+def reference_family_sweep(family: str, parameters, glue_seed: str = "c4",
+                           budget: int = 1_000_000) -> list[FamilySweepRow]:
+    """`family_sweep` as it ran with two searches per admitting row: `admits_cde`,
+    whose sides stop at their first solution, then a full side-split count on a
+    fresh BFS. Each search gets the whole budget."""
+    rows = []
+    for parameter in parameters:
+        g = _family_graph(family, parameter, glue_seed)
+        report = admits_cde(g, budget=budget)
+        count = 0
+        if report.admits and not report.edgeless:
+            halves = _side_split(g, _bfs_forest(g), budget, None)
+            count = math.prod(len(sols) for _, _, sols in halves)
+        rows.append(FamilySweepRow(family, parameter, g.vertex_count, g.edge_count, report.admits,
+                                   report.decided_by, count, g.edge_count if count else None))
+    return rows
 
 
 def random_even_bipartite_graph(n: int, cycles: int, rng: np.random.Generator) -> Graph:

@@ -37,7 +37,10 @@ from degen_kuramoto import degeneracy, graphs
 from helpers import (
     _connected,
     all_connected_graphs,
+    best_fibre_size,
     brute_force_cdes,
+    euler_circuits,
+    even_degree_edge_sets,
     random_bipartite_graph,
     random_connected_graph,
     random_euler_circuit,
@@ -297,24 +300,32 @@ def test_bipartite_even_degrees_and_4_dividing_m_are_not_sufficient():
             assert enumerate_cdes(h) == []
 
 
-def test_one_bfs_per_admits_cde_and_two_per_sweep_row(monkeypatch):
-    calls = []
-    real = graphs._bfs_forest
+def test_one_bfs_and_one_search_per_admits_cde_and_per_sweep_row(monkeypatch):
+    calls, searches = [], []
+    real, real_split = graphs._bfs_forest, degeneracy._side_split
 
     def counted(g):
         calls.append(g)
         return real(g)
 
+    def counted_split(g, forest, budget, limit):
+        searches.append((g, limit))
+        return real_split(g, forest, budget, limit)
+
     monkeypatch.setattr(graphs, "_bfs_forest", counted)
     monkeypatch.setattr(degeneracy, "_bfs_forest", counted)
+    monkeypatch.setattr(degeneracy, "_side_split", counted_split)
     for g in (hypercube_graph(4), _refute_graph()):
         calls.clear()
+        searches.clear()
         admits_cde(g)
-        assert calls == [g]
+        assert calls == [g] and searches == [(g, 1)]
     calls.clear()
+    searches.clear()
     rows = family_sweep("glue-chain", range(4), "c8")
     assert all(r.cde_count for r in rows)
-    assert len(calls) == 2 * len(rows)  # admits_cde, then the count
+    assert len(calls) == len(rows)  # one search both decides and counts
+    assert searches == [(g, None) for g in calls]
 
 
 def _outcome(f, *args, **kwargs):
@@ -722,6 +733,51 @@ def test_circuit_to_phases_raises_exactly_when_check_mod4_circuit_fails():
             assert (err.vertex, (err.first_index, err.second_index)) == (
                 verdict.vertex, verdict.positions)
     assert outcomes == {True, False}
+
+
+def _admitting_connected_graphs(sizes):
+    """Every connected graph on n vertices, n in `sizes`, that admits a CDE (a
+    circuit that passes mod 4 has 4 | m steps)."""
+    graphs = [Graph(n, edges) for n in sizes for edges in even_degree_edge_sets(n)
+              if edges and len(edges) % 4 == 0]
+    return [g for g in graphs if _connected(g) and admits_cde(g)]
+
+
+@pytest.mark.parametrize("sizes, named, graph_count, kinds", [
+    (range(1, 7), [complete_bipartite_graph(2, 4), complete_bipartite_graph(4, 4), cycle_graph(8),
+                   glue_four_cycle(cycle_graph(4), 0),
+                   glue_four_cycle(complete_bipartite_graph(2, 4), 0)],
+     3 + 15 + 5, {"labels": 2_728, "mod 4": 10_368}),  # the mod-4 failures are all on K4,4
+    ((7,), [], 630, {"labels": 2_880}),
+], ids=["n<=6 and five named", "n=7"])
+def test_euler_circuits_map_onto_the_cdes_in_best_theorem_fibres(sizes, named, graph_count, kinds):
+    # every Euler circuit from vertex 0: one that fails the mod-4 check raises
+    # what check_mod4_circuit reports; the rest cover the CDEs, each CDE q as
+    # often as D_q (every edge oriented one label up) has Euler circuits from 0
+    graphs = _admitting_connected_graphs(sizes) + named
+    assert len(graphs) == graph_count
+    counted = Counter()
+    for g in graphs:
+        fibres = {}
+        for vertices in euler_circuits(g):
+            circuit = EulerCircuit(vertices)
+            verdict = check_mod4_circuit(circuit)
+            try:
+                q = circuit_to_phases(g, circuit)
+            except CircuitLabelConflictError as err:
+                assert (err.vertex, (err.first_index, err.second_index)) == (
+                    verdict.vertex, verdict.positions), vertices
+                counted["mod 4"] += 1
+                continue
+            assert verdict, vertices
+            fibres.setdefault(q.labels, set()).add(vertices)
+            counted["labels"] += 1
+        cdes = enumerate_cdes(g)
+        assert set(fibres) == {q.labels for q in cdes}, g.edges
+        for q in cdes:
+            assert len(fibres[q.labels]) == best_fibre_size(g, q.labels), (g.edges, q.labels)
+            assert phases_to_circuit(g, q).vertices in fibres[q.labels], (g.edges, q.labels)
+    assert counted == kinds, counted
 
 
 def _corrupted_walks(g, vertices, rng):

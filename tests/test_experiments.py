@@ -23,6 +23,7 @@ from helpers import (
     even_degree_probability,
     exact_admit_probability,
     exact_admit_table,
+    reference_family_sweep,
     reference_rarity_experiment,
 )
 
@@ -258,12 +259,39 @@ def test_family_sweep_glue_chains():
 
 
 def test_family_sweep_budget_thresholds_are_pinned():
-    # admits_cde's one-labeling search and the count each get the whole budget
+    # one search decides and counts each row, within the whole budget
     for parameter, budget in ((8, 7685), (3, 235)):
         [row] = family_sweep("glue-chain", [parameter], "c8", budget=budget)
         assert row.admits and row.cde_count == 2 ** (parameter + 1)
         with pytest.raises(BudgetExceededError):
             family_sweep("glue-chain", [parameter], "c8", budget=budget - 1)
+
+
+def _sweep_outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except BudgetExceededError as exc:
+        return ("budget exceeded", exc.budget)
+
+
+def test_family_sweep_matches_the_two_search_reference():
+    # the sweep that ran admits_cde and then a full count, each with the whole
+    # budget, kept in helpers as the oracle; a budget error is an outcome too.
+    # The three ranges have exact thresholds at 33, 7,685 and 11,931 nodes.
+    ranges = [("cycle", range(3, 13), "c4"), ("glue-chain", range(9), "c8"),
+              ("hypercube", range(1, 7), "c4")]
+    cases = [(family, (p,), seed) for family, parameters, seed in
+             [("cycle", range(3, 40), "c4"), ("hypercube", range(1, 8), "c4")]
+             + [("glue-chain", range(10), seed) for seed in GLUE_SEEDS] for p in parameters]
+    decided = set()
+    for budget in (0, 1, 32, 33, 7_684, 7_685, 11_930, 11_931, 10**6):
+        got = {case: _sweep_outcome(family_sweep, *case, budget) for case in ranges + cases}
+        for case, outcome in got.items():
+            assert outcome == _sweep_outcome(reference_family_sweep, *case, budget), (case, budget)
+            decided.add("budget" if isinstance(outcome, tuple) else outcome[0].decided_by)
+        passing = [not isinstance(got[case], tuple) for case in ranges]
+        assert passing == [budget >= 33, budget >= 7_685, budget >= 11_931], budget
+    assert decided == {"budget", "odd-degree", "triangle", "non-bipartite", "enumeration"}
 
 
 def test_family_sweep_counts_match_listing_and_brute_force():

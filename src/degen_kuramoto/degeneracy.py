@@ -274,22 +274,25 @@ def _nonnegative(value, what: str) -> int:
     return value
 
 
-def _side_split(g: Graph, forest, budget: int, limit: int | None):
-    """Each side's exact-half solutions (at most `limit`) over the BFS `forest` of g.
+def _side_split(g: Graph, budget: int, limit: int | None):
+    """The one CDE search entry: every caller reaches it through _cde_rows or _admits.
 
-    Returns a list of (side bit, its vertices in BFS order, their s solutions)
-    for both sides of each component with an edge, or None when a same-side
-    edge or a side without solutions rules out every CDE. The caller reads
-    budget and limit and rules out odd degrees; budget errors as in enumerate_cdes.
+    Returns (odd, forest, halves). odd is g's smallest odd-degree vertex, with forest
+    and halves None; else forest is _bfs_forest(g) and halves lists (side bit, its
+    vertices in BFS order, their first `limit` s solutions) for both sides of each
+    component with an edge, or is None when a same-side edge or an unsolvable side
+    rules out every CDE. The caller reads budget and limit (errors as in enumerate_cdes).
 
-    All searches share one pair of room lists, indexed by vertex. A search
-    ends with its rooms restored unless a `limit` stop leaves some taken,
-    and no reset is needed then either: each (component, side) search only
-    touches the rooms of the other side of its own component.
+    All searches share one pair of room lists, indexed by vertex. A `limit` stop may
+    leave some rooms taken, but no reset is needed: each (component, side) search
+    only touches the rooms of the other side of its own component.
     """
-    orders, _, side, conflict = forest
+    odd = _odd_vertex(g)
+    if odd is not None:
+        return odd, None, None
+    forest = orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None:
-        return None
+        return None, forest, None
     half = [len(a) // 2 for a in g._adj]
     rooms = (half, half.copy())  # how many more neighbors each u may have at s = 0, 1
     halves, used = [], 0
@@ -300,9 +303,9 @@ def _side_split(g: Graph, forest, budget: int, limit: int | None):
             verts = [v for v in order if side[v] == bit]
             sols, used = _exact_half_assignments(g, verts, rooms, bit == 0, used, budget, limit)
             if not sols:
-                return None
+                return None, forest, None
             halves.append((bit, verts, sols))
-    return halves
+    return None, forest, halves
 
 
 def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray:
@@ -318,10 +321,7 @@ def _cde_rows(g: Graph, budget: int, limit: int | None) -> np.ndarray:
     if limit is not None:
         limit = _nonnegative(limit, "limit")
     n = g.vertex_count
-    halves = None
-    if _odd_vertex(g) is None:
-        forest = _bfs_forest(g)
-        halves = _side_split(g, forest, budget, limit)
+    _, forest, halves = _side_split(g, budget, limit)
     if halves is None:  # an odd degree, a same-side edge or a side with no solutions
         return np.zeros((0, n), dtype=np.int8)
     k = math.prod(len(sols) for _, _, sols in halves)
@@ -523,16 +523,15 @@ class AdmitsReport:
 
 
 def _admits(g: Graph, budget: int, limit: int | None):
-    """admits_cde's filter cascade on a budget already read, and the side split it searched
-    (each side's first `limit` solutions), None when a filter decides or no CDE exists."""
+    """admits_cde's filter cascade on a budget already read, and the halves _side_split
+    searched (each side's first `limit` solutions), None when a filter decides or no CDE exists."""
     if g.edge_count == 0:
         return AdmitsReport(True, "edgeless", edgeless=True), None
-    k = _odd_vertex(g)
+    k, forest, halves = _side_split(g, budget, limit)
     if k is not None:
         return AdmitsReport(False, "odd-degree", odd_degree_vertex=k), None
-    forest = _, parent, _, conflict = _bfs_forest(g)
+    _, parent, _, conflict = forest
     if conflict is None:
-        halves = _side_split(g, forest, budget, limit)
         return AdmitsReport(halves is not None, "enumeration"), halves
     tri = contains_triangle(g)  # a triangle is an odd cycle: sought only now
     if tri is not None:

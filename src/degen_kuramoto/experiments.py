@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import BudgetExceededError, _admits, _nonnegative, admits_cde
+from .degeneracy import BudgetExceededError, _admits, _nonnegative
 from .graphs import (
     Graph,
     _gnp_pairs,
@@ -127,9 +127,9 @@ def rarity_experiment(
     Per-sample generator keys are derived from the seed, so the report is
     reproducible bit for bit for fixed (n, p, samples, seed). Samples are
     drawn in chunks, and the edgeless, odd-degree and triangle filters run
-    once per chunk on its kept pairs. Only the samples that pass them become
-    a Graph for admits_cde, in sample order, so every tally is the one
-    admits_cde gives on erdos_renyi(n, p, key).
+    once per chunk on its kept pairs. Only the samples that pass them become a
+    Graph, in sample order, for degeneracy._admits on the budget read here (the
+    cascade admits_cde runs), so every tally is admits_cde's on erdos_renyi(n, p, key).
     """
     samples = operator.index(samples)
     if samples < 1:
@@ -159,7 +159,7 @@ def rarity_experiment(
             lo, hi = np.searchsorted(sample, (j, j + 1))
             g = Graph(n, zip(u[pair[lo:hi]].tolist(), v[pair[lo:hi]].tolist()))
             try:
-                report = admits_cde(g, budget=budget)
+                report = _admits(g, budget, 1)[0]
             except BudgetExceededError:
                 counts["budget_exceeded"] += 1
                 continue

@@ -29,14 +29,12 @@ from degen_kuramoto import (
     QuarterLabeling,
     RarityReport,
     SimulationTrace,
-    admits_cde,
     circular_distance,
     erdos_renyi,
     is_cde_nonidentical,
     phase_vector,
 )
 from degen_kuramoto.docio import _format_float
-from degen_kuramoto.degeneracy import _side_split
 from degen_kuramoto.experiments import BUCKETS, _family_graph, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
@@ -127,7 +125,7 @@ def reference_rarity_experiment(
 ) -> RarityReport:
     """`rarity_experiment` as it ran before the pair-array filters: every
     sample is an `erdos_renyi` Graph scanned by `contains_triangle` and
-    decided by `admits_cde`."""
+    decided by `reference_admits_cde`."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     counts = {b: 0 for b in BUCKETS}
@@ -139,7 +137,7 @@ def reference_rarity_experiment(
         if contains_triangle(g) is not None:
             triangles += 1
         try:
-            report = admits_cde(g, budget=budget)
+            report = reference_admits_cde(g, budget=budget)
         except BudgetExceededError:
             counts["budget_exceeded"] += 1
             continue
@@ -184,10 +182,9 @@ def even_degree_edge_sets(n: int):
 @functools.lru_cache(maxsize=None)
 def exact_admit_table(n: int) -> dict[int, int]:
     """A_n(m) as {m: count}: the labeled graphs on n vertices with m >= 1
-    edges that admit a CDE, by admits_cde on every even-degree graph."""
-    table = Counter(
-        len(edges) for edges in even_degree_edge_sets(n) if edges and admits_cde(Graph(n, edges)).admits
-    )
+    edges that admit a CDE, by reference_admits_cde on every even-degree graph."""
+    table = Counter(len(edges) for edges in even_degree_edge_sets(n)
+                    if edges and reference_admits_cde(Graph(n, edges)).admits)
     return dict(sorted(table.items()))
 
 
@@ -468,17 +465,17 @@ def _reference_exact_half_assignments(g: Graph, side, pin_first, budget_state, l
     return list(itertools.islice(search(0), limit))
 
 
-def reference_enumerate_cdes(g: Graph, budget: int = 1_000_000, limit: int | None = None):
-    """`enumerate_cdes` as it ran before the shared side split: its own degree
-    scan, BFS and side searches, each side list and the product cut at `limit`."""
-    budget = int(budget)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+def reference_side_split(g: Graph, budget: int, limit: int | None):
+    """The side searches `enumerate_cdes` ran before the shared side split: its
+    own degree scan and BFS, then (side bit, vertices in BFS order, the first
+    `limit` s solutions) for both sides of each component with an edge, all
+    within one `budget`; None when an odd degree, a same-side edge or a side
+    without solutions rules out every CDE."""
     if any(g.degree(v) % 2 for v in range(g.vertex_count)):
-        return []
+        return None
     orders, _, side, conflict = _bfs_forest(g)
     if conflict is not None:
-        return []
+        return None
     budget_state = [0, budget]
     halves = []
     for order in orders:
@@ -488,8 +485,20 @@ def reference_enumerate_cdes(g: Graph, budget: int = 1_000_000, limit: int | Non
             verts = [v for v in order if side[v] == bit]
             sols = _reference_exact_half_assignments(g, verts, bit == 0, budget_state, limit)
             if not sols:
-                return []
+                return None
             halves.append((bit, verts, sols))
+    return halves
+
+
+def reference_enumerate_cdes(g: Graph, budget: int = 1_000_000, limit: int | None = None):
+    """`enumerate_cdes` as it ran before the shared side split: the halves of
+    `reference_side_split`, each side list and the product cut at `limit`."""
+    budget = int(budget)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    halves = reference_side_split(g, budget, limit)
+    if halves is None:
+        return []
     results = []
     combos = itertools.product(*(sols for _, _, sols in halves))
     for combo in itertools.islice(combos, limit):
@@ -524,16 +533,17 @@ def reference_admits_cde(g: Graph, budget: int = 1_000_000) -> AdmitsReport:
 
 def reference_family_sweep(family: str, parameters, glue_seed: str = "c4",
                            budget: int = 1_000_000) -> list[FamilySweepRow]:
-    """`family_sweep` as it ran with two searches per admitting row: `admits_cde`,
-    whose sides stop at their first solution, then a full side-split count on a
-    fresh BFS. Each search gets the whole budget."""
+    """`family_sweep` as it ran with two searches per admitting row: the cascade
+    of `reference_admits_cde`, whose sides stop at their first solution, then a
+    full count from `reference_side_split` on a fresh BFS. Each search gets the
+    whole budget."""
     rows = []
     for parameter in parameters:
         g = _family_graph(family, parameter, glue_seed)
-        report = admits_cde(g, budget=budget)
+        report = reference_admits_cde(g, budget=budget)
         count = 0
         if report.admits and not report.edgeless:
-            halves = _side_split(g, _bfs_forest(g), budget, None)
+            halves = reference_side_split(g, budget, None)
             count = math.prod(len(sols) for _, _, sols in halves)
         rows.append(FamilySweepRow(family, parameter, g.vertex_count, g.edge_count, report.admits,
                                    report.decided_by, count, g.edge_count if count else None))

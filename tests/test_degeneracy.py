@@ -15,6 +15,7 @@ from degen_kuramoto import (
     admits_cde,
     check_mod4_circuit,
     circuit_to_phases,
+    cli_dispatch,
     complete_bipartite_graph,
     complete_graph,
     connected_components,
@@ -32,6 +33,7 @@ from degen_kuramoto import (
     is_eulerian,
     jacobian,
     phases_to_circuit,
+    rarity_experiment,
 )
 from degen_kuramoto import degeneracy, graphs
 from helpers import (
@@ -300,32 +302,53 @@ def test_bipartite_even_degrees_and_4_dividing_m_are_not_sufficient():
             assert enumerate_cdes(h) == []
 
 
-def test_one_bfs_and_one_search_per_admits_cde_and_per_sweep_row(monkeypatch):
-    calls, searches = [], []
-    real, real_split = graphs._bfs_forest, degeneracy._side_split
+def test_one_bfs_and_one_search_per_admits_cde_and_per_sweep_row(monkeypatch, tmp_path, capsys):
+    calls, searches, scans = [], [], []
+    real, real_split, real_scan = graphs._bfs_forest, degeneracy._side_split, contains_triangle
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    def counted_split(g, forest, budget, limit):
+    def counted_split(g, budget, limit):
         searches.append((g, limit))
-        return real_split(g, forest, budget, limit)
+        return real_split(g, budget, limit)
+
+    def cli_enumerate(g):
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        assert cli_dispatch(["enumerate", "--input", str(path)]) == 0
+        capsys.readouterr()
 
     monkeypatch.setattr(graphs, "_bfs_forest", counted)
     monkeypatch.setattr(degeneracy, "_bfs_forest", counted)
     monkeypatch.setattr(degeneracy, "_side_split", counted_split)
-    for g in (hypercube_graph(4), _refute_graph()):
-        calls.clear()
-        searches.clear()
-        admits_cde(g)
-        assert calls == [g] and searches == [(g, 1)]
+    monkeypatch.setattr(degeneracy, "contains_triangle", lambda g: scans.append(g) or real_scan(g))
+    c5c4 = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8), (8, 5)])
+    for g in (hypercube_graph(4), _refute_graph(), c5c4):
+        for run, limit in ((admits_cde, 1), (enumerate_cdes, None), (cli_enumerate, None)):
+            for log in (calls, searches, scans):
+                log.clear()
+            run(g)
+            # the CLI searches the graph its document names: the same edges
+            assert [h.edges for h in calls] == [g.edges]
+            assert searches == [(calls[0], limit)]
+            # only admits_cde scans for a triangle, and only after a same-side edge
+            assert len(scans) == (run is admits_cde and g is c5c4), (run, g.edges)
     calls.clear()
     searches.clear()
     rows = family_sweep("glue-chain", range(4), "c8")
     assert all(r.cde_count for r in rows)
     assert len(calls) == len(rows)  # one search both decides and counts
     assert searches == [(g, None) for g in calls]
+    calls.clear()
+    searches.clear()
+    rarity_experiment(6, 0.4, 300, seed=5)
+    # each filter survivor (edges, even degrees, no triangle) gets one BFS and one search
+    assert calls and searches == [(g, 1) for g in calls]
+    for g in calls:
+        even = not any(g.degree(k) % 2 for k in range(g.vertex_count))
+        assert g.edge_count and even and contains_triangle(g) is None
 
 
 def _outcome(f, *args, **kwargs):
@@ -495,7 +518,7 @@ def test_packed_rows_at_byte_and_word_edges():
     varying = 0
     for g in corpus:
         n = g.vertex_count
-        halves = degeneracy._side_split(g, graphs._bfs_forest(g), 1_000_000, None) or []
+        halves = degeneracy._side_split(g, 1_000_000, None)[2] or []
         varying += sum(len(sols) > 1 for _, _, sols in halves) >= 3
         connected = len(connected_components(g)) == 1
         for limit in (None, 1, 5, 37):

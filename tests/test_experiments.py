@@ -14,7 +14,7 @@ from degen_kuramoto import (
     glue_four_cycle,
     rarity_experiment,
 )
-from degen_kuramoto import experiments
+from degen_kuramoto import degeneracy, experiments
 from degen_kuramoto.docio import canonical_json
 from degen_kuramoto.experiments import BUCKETS, GLUE_SEEDS, _chunk_filters, _family_graph
 from helpers import (
@@ -187,9 +187,10 @@ def test_rarity_keys_one_philox_per_call(monkeypatch):
 @pytest.mark.parametrize("n, p, samples", [(40, 0.1, 600), (6, 0.4, 1000)])
 def test_rarity_builds_a_graph_only_for_filter_survivors(monkeypatch, n, p, samples):
     built, searched = [], []
-    graph, admits_cde = experiments.Graph, experiments.admits_cde
+    graph, bfs = experiments.Graph, degeneracy._bfs_forest
     monkeypatch.setattr(experiments, "Graph", lambda *a: built.append(a) or graph(*a))
-    monkeypatch.setattr(experiments, "admits_cde", lambda *a, **k: searched.append(a) or admits_cde(*a, **k))
+    # a survivor has edges and even degrees, so its search runs exactly one BFS
+    monkeypatch.setattr(degeneracy, "_bfs_forest", lambda g: searched.append(g) or bfs(g))
     rarity_experiment(n, p, samples, seed=5)
     survivors = 0
     for key in np.random.SeedSequence(5).generate_state(samples, dtype=np.uint64):

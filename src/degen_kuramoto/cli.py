@@ -318,6 +318,3 @@ def cli_dispatch(argv=None) -> int:
 def main() -> None:
     sys.exit(cli_dispatch())
 
-
-if __name__ == "__main__":
-    main()

@@ -235,10 +235,16 @@ def instability_probe(
 
 
 def edge_pair_direction(g: Graph, c: EulerCircuit) -> np.ndarray:
-    """Unit lattice direction e_j - e_k for the circuit's first step."""
+    """Unit lattice direction e_j - e_k for the circuit's first step (j, k).
+
+    The step must be an edge of g (ValueError, after a vertex id outside g).
+    """
+    j, k = c.vertices[:2]
+    if not g.has_edge(j, k):
+        raise ValueError(f"({j}, {k}) is not an edge of the graph")
     d = np.zeros(g.vertex_count)
-    d[c.vertices[0]] = 1.0
-    d[c.vertices[1]] = -1.0
+    d[j] = 1.0
+    d[k] = -1.0
     return d
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,24 +207,30 @@ class FamilySweepRow:
     circuit_length: int | None
 
 
-def _family_graph(family: str, parameter: int, glue_seed: str) -> Graph:
+def _family_graphs(family: str, glue_seed: str) -> Callable[[int], Graph]:
+    """The graph of each parameter of `family`. The family, and a glue-chain's
+    seed, are read here, before any graph is built."""
     if family == "cycle":
-        return cycle_graph(parameter)
+        return cycle_graph
     if family == "hypercube":
-        return hypercube_graph(parameter)
-    if family == "glue-chain":
-        try:
-            g = GLUE_SEEDS[glue_seed]()
-        except KeyError:
-            raise ValueError(f"unknown glue seed {glue_seed!r}; pick from {sorted(GLUE_SEEDS)}")
+        return hypercube_graph
+    if family != "glue-chain":
+        raise ValueError(f"unknown family {family!r}; pick from {', '.join(FAMILIES)}")
+    try:
+        seed = GLUE_SEEDS[glue_seed]()
+    except KeyError:
+        raise ValueError(f"unknown glue seed {glue_seed!r}; pick from {sorted(GLUE_SEEDS)}")
+    n = seed.vertex_count
+
+    def glue_chain(parameter: int) -> Graph:
         if parameter < 0:
             raise ValueError("glue-chain parameter counts glue steps, must be >= 0")
-        # glue_four_cycle(g, 0) `parameter` times: cycle i runs through 0 and m = n + 3i
-        n = g.vertex_count
+        # glue_four_cycle(seed, 0) `parameter` times: cycle i runs through 0 and m = n + 3i
         cycles = [e for m in range(n, n + 3 * parameter, 3)
                   for e in ((0, m), (m, m + 1), (m + 1, m + 2), (m + 2, 0))]
-        return Graph(n + 3 * parameter, [*g.edges, *cycles])
-    raise ValueError(f"unknown family {family!r}; pick from {', '.join(FAMILIES)}")
+        return Graph(n + 3 * parameter, [*seed.edges, *cycles])
+
+    return glue_chain
 
 
 def family_sweep(
@@ -238,12 +245,15 @@ def family_sweep(
     "glue-chain" (parameter = number of 4-cycles glued onto the seed graph at vertex 0;
     seeds: c4, c8, k24). One search per graph, within `budget`, decides and counts the
     CDEs. Every family graph is connected, so circuit_length is the edge count when a CDE
-    exists. Each parameter is read with operator.index (a float raises TypeError).
+    exists. Each parameter is read with operator.index (a float raises TypeError). The
+    budget, then the family and a glue-chain's seed, are read before any graph is built,
+    so a bad one is a ValueError also over an empty range.
     """
     budget = _nonnegative(budget, "budget")
+    graph = _family_graphs(family, glue_seed)
     rows = []
     for parameter in map(operator.index, parameters):
-        g = _family_graph(family, parameter, glue_seed)
+        g = graph(parameter)
         report, halves = _admits(g, budget, None)
         count = math.prod(len(sols) for _, _, sols in halves) if halves else 0
         rows.append(

@@ -35,7 +35,7 @@ from degen_kuramoto import (
     phase_vector,
 )
 from degen_kuramoto.docio import _format_float
-from degen_kuramoto.experiments import BUCKETS, _family_graph, _wilson_interval
+from degen_kuramoto.experiments import BUCKETS, _family_graphs, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
 from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
 from degen_kuramoto.render import PALETTE
@@ -539,7 +539,7 @@ def reference_family_sweep(family: str, parameters, glue_seed: str = "c4",
     whole budget."""
     rows = []
     for parameter in parameters:
-        g = _family_graph(family, parameter, glue_seed)
+        g = _family_graphs(family, glue_seed)(parameter)
         report = reference_admits_cde(g, budget=budget)
         count = 0
         if report.admits and not report.edgeless:

@@ -39,6 +39,122 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env(**extra) -> dict:
+    """os.environ plus extra, with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+# The graphs of PINNED_OUTPUTS, as edge lists.
+EDGE_LISTS = {
+    "C4": C4_EDGES,
+    "C6": "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n",
+    "Q4": "".join(f"{v} {v | 1 << i}\n" for v in range(16) for i in range(4) if not v >> i & 1),
+    "K24+C4": "0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n1 4\n1 5\n6 7\n7 8\n8 9\n9 6\n",
+    "C5+C4": "0 1\n1 2\n2 3\n3 4\n4 0\n5 6\n6 7\n7 8\n8 5\n",
+}
+
+
+@pytest.fixture
+def edge_files(tmp_path):
+    """The path of each EDGE_LISTS file, by graph name."""
+    for name, text in EDGE_LISTS.items():
+        (tmp_path / f"{name}.edges").write_text(text)
+    return {name: str(tmp_path / f"{name}.edges") for name in EDGE_LISTS}
+
+
+# CLI runs whose output is pinned: the argv (an EDGE_LISTS name stands for its file),
+# the exit code, stdout as its exact text or as (byte count, sha256), and stderr.
+PINNED_OUTPUTS = [
+    ("enumerate --input C4", 0, '{"edges":[[0,1],[0,3],[1,2],[2,3]],"format":"degen-kuramoto/1",'
+     '"report":{"cde_count":2,"labelings":[{"base":0,"labels":[0,1,2,3]},{"base":0,"labels":'
+     '[0,3,2,1]}]},"vertices":["0","1","2","3"]}\n', ""),
+    # 18 labelings; the bytes perfbench/expected.json holds
+    ("enumerate --input Q4", 0,
+     (1351, "7cd1ac2ddab66ef3b345a68a69ae28f1c627f064ad42132522e87361751d8d3a"), ""),
+    # no CDE (6 edges): the document with an empty labelings list
+    ("enumerate --input C6", 0,
+     (153, "59597eda9681cfa60b1a44ca371d393989f4cb901cbd87643d616f75ccf5463b"), ""),
+    # n = 10, four halves, 12 CDEs: each row straddles a key byte
+    ("enumerate --input K24+C4", 0,
+     (709, "cb4160979c76e033228602a1f40d89ce1f1936f133f5bfa9ae6bcb6964519c00"), ""),
+    # the same-side edge in C5 leaves no CDE
+    ("enumerate --input C5+C4", 0,
+     (183, "c6cdfac6c7819875ce555bf4cbe7d2d5a8add7d87f96d151c067e2b589f610b2"), ""),
+    # detect reports the first failing vertex, at its first bad edge if it has one
+    ("detect --input C4 --labels 0,1,1,2", 0, '{"edge":[0,3],"ok":false,"reason":"edge (0, 3): '
+     'phase gap 3.14159 is not +-pi/2 within 1e-09","vertex":0}\n', ""),
+    ("detect --input C4 --labels 0,1,0,1", 0,
+     '{"ok":false,"reason":"vertex 0: 2 neighbors at +pi/2 vs 0 at -pi/2","vertex":0}\n', ""),
+    # with frequencies: the ratios omega/K and the first vertex off its sine balance
+    ("detect --input C4 --labels 0,1,0,1 --coupling 2 --frequencies=-4,4,-4,4", 0,
+     '{"frequency_ratios":[-2,2,-2,2],"ok":true,"ratios_integral":[true,true,true,true]}\n', ""),
+    ("detect --input C4 --labels 0,1,0,1 --coupling 2 --frequencies=-4,4,-4,3", 0,
+     '{"frequency_ratios":[-2,2,-2,1.5],"ok":false,"ratios_integral":[true,true,true,false],'
+     '"reason":"vertex 3: sine sum -2 != -omega/K = -1.5","vertex":3}\n', ""),
+    ("detect --input C4 --phases 0,,1,2,3", 1, "",
+     "error: could not convert string to float: ''\n"),
+    ("detect --input C4 --labels 0,1,2,3 --coupling inf", 1, "",
+     "error: coupling must be finite\n"),
+    ("detect --input C4 --labels 0,1,2,3 --coupling 1e-300 --frequencies 1e300,0,0,0", 1, "",
+     "error: omega/K overflows at vertex 0\n"),
+    ("circuit --input C4 --labels 0,1,2,3", 0,
+     '{"circuit":[0,1,2,3,0],"length":4,"mod4":{"ok":true}}\n', ""),
+    ("circuit --input C4 --circuit 0,1,2,3,0", 0,
+     '{"base":0,"labels":[0,1,2,3],"mod4":{"ok":true}}\n', ""),
+    ("circuit --input C6 --circuit 0,1,2,3,4,5,0", 1, "",
+     "error: vertex 0 revisited after 6 steps (positions 0 and 6; gap not a multiple of 4)\n"),
+    # perfbench's cli argument lists
+    ("probe --input C4 --labels 0,1,2,3 --x0 0.2 --epsilon 1.0", 0, '{"converged":false,'
+     '"escaped":true,"exit_time":2.7250000000000001,"max_distance":1.0010396988272361,'
+     '"steps":2725}\n', ""),
+    ("simulate --input C4 --phases 0.4,0.1,0.2,0.3 --steps 200", 0,
+     (23417, "577bf5fd91e8fcf5843c0780527af17dffa385fd9c5f41ae53211e23768137ad"), ""),
+    ("sweep --family cycle --params 5:5 --budget -1", 1, "",
+     "error: budget must be nonnegative\n"),
+    # C3..C12: decided by the triangle, non-bipartite and enumeration branches
+    ("sweep --family cycle --params 3:13", 0,
+     (429, "98f645983c5c10588c74258cc1bf9e8394278c78de253cae91edf06792c68282"), ""),
+    # one search per row decides and counts: the exact budget thresholds of the
+    # glue-chain rows of perfbench's glue_chain_c8 and of Q1..Q6
+    ("sweep --family glue-chain --params 0:9 --glue-seed c8 --budget 7685", 0,
+     (459, "dc80d905c4a9ebbb6cf25d57272aaf6664e1b7878422b498b2b8151a8a2db678"), ""),
+    ("sweep --family glue-chain --params 0:9 --glue-seed c8 --budget 7684", 1, "",
+     "error: enumeration exceeded the search budget of 7684 nodes\n"),
+    ("sweep --family hypercube --params 1:7 --budget 11931", 0,
+     (318, "865cd1c8590f6476ea636e6df96bf7d6749f0ebbca6974f8816c7b9a0c49dfb1"), ""),
+    ("sweep --family hypercube --params 1:7 --budget 11930", 1, "",
+     "error: enumeration exceeded the search budget of 11930 nodes\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PINNED_OUTPUTS, ids=[r[0] for r in PINNED_OUTPUTS])
+def test_pinned_cli_outputs(capsys, edge_files, argv, code, out, err):
+    got_code, got_out, got_err = run(capsys, *(edge_files.get(a, a) for a in argv.split()))
+    if isinstance(out, tuple):
+        got_out = (len(got_out.encode()), hashlib.sha256(got_out.encode()).hexdigest())
+    assert (got_code, got_out, got_err) == (code, out, err)
+
+
+def test_pinned_enumerate_documents_re_emit_and_their_labelings_round_trip(capsys, edge_files):
+    # each enumerate document re-emits byte for byte; on the Euler graphs (C4, Q4)
+    # every labeling -> circuit -> labeling round trip gives its labels back
+    dk, trips = degen_kuramoto, 0
+    for name in [argv.split()[-1] for argv, *_ in PINNED_OUTPUTS if argv.startswith("enumerate")]:
+        text = run(capsys, "enumerate", "--input", edge_files[name])[1]
+        doc = dk.parse_json(text)
+        assert dk.emit_json(doc.graph, names=doc.names, report=doc.report) == text, name
+        for labeling in doc.report["labelings"] if dk.is_eulerian(doc.graph) else ():
+            labels = ",".join(map(str, labeling["labels"]))
+            out = run(capsys, "circuit", "--input", edge_files[name], "--labels", labels)[1]
+            circuit = ",".join(map(str, json.loads(out)["circuit"]))
+            out = run(capsys, "circuit", "--input", edge_files[name], "--circuit", circuit)[1]
+            assert json.loads(out)["labels"] == labeling["labels"], (name, labels)
+            trips += 1
+    assert trips == 2 + 18
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "degen-kuramoto" in out
@@ -58,17 +174,6 @@ def test_usage_errors_exit_two(capsys):
 def test_unreadable_input_exits_one(capsys):
     code, _, err = run(capsys, "enumerate", "--input", "/nonexistent/file")
     assert code == 1 and "error:" in err
-
-
-def test_enumerate_c4(capsys, c4_file):
-    code, out, _ = run(capsys, "enumerate", "--input", c4_file)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["report"]["cde_count"] == 2
-    assert doc["report"]["labelings"] == [
-        {"base": 0.0, "labels": [0, 1, 2, 3]},
-        {"base": 0.0, "labels": [0, 3, 2, 1]},
-    ]
 
 
 def test_enumerate_q6_prints_the_pinned_bytes(capsys, tmp_path):
@@ -750,20 +855,17 @@ def test_an_oversized_request_exits_one_with_one_error_line(c4_file, tmp_path, a
     pytest.importorskip("resource")
     script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
               "from degen_kuramoto.cli import main; main()")
-    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out_file = tmp_path / "out"
     argv = [c4_file if a == "C4" else a for a in argv] + ["--output", str(out_file)]
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env=env)
+                          env=_child_env())
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
     assert not out_file.exists()
 
 
 def test_python_dash_m_runs_the_console_script(c4_file):
-    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     argv = ["enumerate", "--input", c4_file]
     module = subprocess.run([sys.executable, "-m", "degen_kuramoto", *argv],
                             capture_output=True, text=True, env=env)
@@ -778,13 +880,11 @@ def test_edge_list_ids_do_not_depend_on_the_hash_seed(tmp_path):
     # '01' and '1' are the same integer; they must tie-break the same way in every process
     path = tmp_path / "tie.edges"
     path.write_text("01 2\n2 1\n1 3\n3 01\n")
-    src = str(Path(degen_kuramoto.__file__).resolve().parents[1])
     outs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-m", "degen_kuramoto", "enumerate", "--input",
-                               str(path)], capture_output=True, text=True, env=env)
+                               str(path)], capture_output=True, text=True,
+                              env=_child_env(PYTHONHASHSEED=seed))
         assert (done.returncode, done.stderr) == (0, "")
         outs.append(done.stdout)
     assert outs[0] == outs[1]

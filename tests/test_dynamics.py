@@ -290,6 +290,21 @@ def test_descending_sign_picks_the_energy_drop():
     assert energy(sys_, theta + s * 1e-2 * d) < energy(sys_, theta)
 
 
+def test_edge_pair_direction_rejects_a_first_step_that_is_not_an_edge():
+    g = cycle_graph(4)
+    for walk, message in [((-1, 0, -1), "vertex id -1 outside 0..3"),
+                          ((9, 0, 9), "vertex id 9 outside 0..3"),
+                          ((0, 2, 0), "(0, 2) is not an edge of the graph"),
+                          ((0, 0), "(0, 0) is not an edge of the graph")]:
+        with pytest.raises(ValueError) as info:
+            edge_pair_direction(g, EulerCircuit(walk))
+        assert str(info.value) == message
+    for q in enumerate_cdes(g):  # a circuit's first step (j, k) still gives e_j - e_k
+        c = phases_to_circuit(g, q)
+        j, k = c.vertices[:2]
+        assert edge_pair_direction(g, c).tolist() == [(v == j) - (v == k) for v in range(4)]
+
+
 @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0, 0.0], [np.inf, -1.0, 0.0, 0.0]])
 def test_instability_probe_rejects_a_non_finite_direction(direction):
     g = cycle_graph(4)

@@ -16,7 +16,7 @@ from degen_kuramoto import (
 )
 from degen_kuramoto import degeneracy, experiments
 from degen_kuramoto.docio import canonical_json
-from degen_kuramoto.experiments import BUCKETS, GLUE_SEEDS, _chunk_filters, _family_graph
+from degen_kuramoto.experiments import BUCKETS, GLUE_SEEDS, _chunk_filters, _family_graphs
 from helpers import (
     brute_force_cdes,
     even_degree_edge_sets,
@@ -302,7 +302,7 @@ def test_family_sweep_counts_match_listing_and_brute_force():
     counts = []
     for family, parameters, glue_seed in cases:
         for row in family_sweep(family, parameters, glue_seed):
-            g = _family_graph(family, row.parameter, glue_seed)
+            g = _family_graphs(family, glue_seed)(row.parameter)
             assert row.cde_count == len(enumerate_cdes(g)) == len(brute_force_cdes(g))
             counts.append(row.cde_count)
     assert 0 in counts and max(counts) > 2
@@ -321,17 +321,19 @@ def test_family_sweep_reads_numpy_int_parameters_as_plain_ints():
 
 
 def test_family_sweep_unknown_family():
-    with pytest.raises(ValueError, match="unknown family"):
-        family_sweep("petersen", [1])
-    with pytest.raises(ValueError, match="glue seed"):
-        family_sweep("glue-chain", [1], glue_seed="c6")
+    # read before any graph is built, so also over an empty range
+    for parameters in ([1], []):
+        with pytest.raises(ValueError, match="unknown family"):
+            family_sweep("petersen", parameters)
+        with pytest.raises(ValueError, match="glue seed"):
+            family_sweep("glue-chain", parameters, glue_seed="c6")
 
 
 def test_a_glue_chain_is_its_seed_glued_at_vertex_0_parameter_times():
     for seed, make in GLUE_SEEDS.items():
         g = make()
         for parameter in range(25):
-            assert _family_graph("glue-chain", parameter, seed) == g, (seed, parameter)
+            assert _family_graphs("glue-chain", seed)(parameter) == g, (seed, parameter)
             g = glue_four_cycle(g, 0)
 
 

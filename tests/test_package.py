@@ -1,8 +1,11 @@
 import ast
 import importlib
+import json
 import pkgutil
 import types
 from pathlib import Path
+
+import pytest
 
 import degen_kuramoto
 
@@ -29,3 +32,12 @@ def test_every_python_file_parses_under_the_python_3_10_grammar():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_every_bench_trajectory_result_is_correct_with_no_failures(path):
+    objects = []  # a perfbench result line is each object with a "correct" key
+    json.loads(path.read_text(), object_hook=lambda obj: objects.append(obj) or obj)
+    found = [r for r in objects if "correct" in r]
+    bad = [r for r in found if r["correct"] is not True or r.get("failed") != 0]
+    assert found and not bad, f"{len(found)} results, {len(bad)} not correct or with failures"

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_BLOCK_STEPS = 256  # rows a fixed-step loop writes between two tests of them
+
+
 class NonFiniteStateError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite state at step {step}")
@@ -83,12 +86,28 @@ def _rk4(sys: OscillatorSystem, dt: float):
     return step
 
 
+def _step_rows(step, y, rows) -> None:
+    """Step from y into each row of rows in turn: the one fixed-step loop.
+
+    Overflow and invalid are muted. Only a step whose result is not finite
+    raises them, and the caller redoes that step under its own errstate
+    before it raises NonFiniteStateError, so its caller sees the same
+    warnings and FloatingPointError as a loop that tests every step.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            y = step(y, row)
+
+
 def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
     """Fixed-step RK4 trace of the flow from theta0.
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
-    continuous lift accumulated by the integrator. Memory is the
-    (steps + 1, n) lift, which is wrapped in place into `states`, plus
+    continuous lift accumulated by the integrator. The steps go straight
+    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time, and each
+    block is tested for finiteness once; the first step that is not finite
+    is redone from the row before it and raises NonFiniteStateError. The
+    lift is then wrapped in place into `states`; beyond it, memory is
     temporaries of a fixed size: the energies are summed in row blocks, bit
     for bit the one-pass formula.
     """
@@ -96,16 +115,18 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    steps = operator.index(steps)
     y = phase_vector(theta0, sys.graph.vertex_count)
-    n = y.shape[0]
-    lift = np.empty((steps + 1, n))
+    lift = np.empty((steps + 1, y.shape[0]))
     lift[0] = y
     step = _rk4(sys, dt)
-    finite = np.empty(n, dtype=bool)
-    for i in range(1, steps + 1):
-        y = step(y, lift[i])
-        # exact and flag-free, unlike a dot product, which warns on inf
-        if np.count_nonzero(np.isfinite(y, out=finite)) != n:
+    for done in range(0, steps, _BLOCK_STEPS):
+        rows = lift[done + 1:done + 1 + _BLOCK_STEPS]
+        _step_rows(step, lift[done], rows)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            i = done + 1 + int(bad[0])
+            step(lift[i - 1], lift[i])
             raise NonFiniteStateError(i)
     # checked after the loop, so a state that blows up first reports its step
     if not math.isfinite(float(dt) * steps):
@@ -190,9 +211,12 @@ def instability_probe(
     Reports whether the max-over-vertices circular distance from theta ever
     exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10),
     epsilon > 0, x0 finite with |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
-    escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13):
-    residual drift over the remaining budget is then far below epsilon.
-    Raises NonFiniteStateError if the state stops being finite.
+    escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13,
+    tested every _BLOCK_STEPS steps): residual drift over the remaining
+    budget is then far below epsilon. Raises NonFiniteStateError if the
+    state stops being finite. The steps run _BLOCK_STEPS at a time, and the
+    tests once per block (`_escape`); the report is the same as that of a
+    loop that tests every step.
     """
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
@@ -212,25 +236,47 @@ def instability_probe(
         raise ValueError("dt must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    y = theta + x0 * direction
-    y_next, gap = np.empty_like(y), np.empty_like(y)
-    rk4 = _rk4(sys, dt)
+    max_steps = operator.index(max_steps)
+    return _escape(field, _rk4(sys, dt), theta, theta + x0 * direction, epsilon, dt, max_steps)
+
+
+def _escape(field, rk4, theta, y, epsilon, dt, max_steps) -> EscapeReport:
+    """instability_probe's loop from the start state y, on checked arguments.
+
+    The steps go into one reused (_BLOCK_STEPS, n) block, and the block's
+    rows are tested together. The first row whose distance from theta is
+    not at most epsilon ends the probe; the rows after it are dropped. The
+    distance is max |row - theta|, which equals the torus distance while it
+    is at most pi, and `circular_distance` above pi. A full block ends on a
+    multiple of _BLOCK_STEPS steps, and its last row gets the convergence
+    test. y holds the state before each block.
+    """
+    block = np.empty((_BLOCK_STEPS, y.shape[0]))
+    views = list(block)
     max_distance = 0.0
-    for step in range(1, max_steps + 1):
-        y, y_next = rk4(y, y_next), y
-        # equals the torus distance while it is at most pi
-        dist = float(np.maximum.reduce(np.abs(np.subtract(y, theta, gap), gap)))
-        if dist > math.pi:
-            dist = float(np.max(circular_distance(y, theta)))
-        if dist > max_distance:
-            max_distance = dist
-        if not dist <= epsilon:  # escaped, or NaN from a non-finite state
-            if dist != dist:
-                raise NonFiniteStateError(step)
-            return EscapeReport(True, step * dt, max_distance, step)
-        if step % 256 == 0:
-            if float(np.max(np.abs(field(y)))) < 1.0e-13:
-                return EscapeReport(False, None, max_distance, step, converged=True)
+    for done in range(0, max_steps, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, max_steps - done)
+        rows = block[:m]
+        _step_rows(rk4, y, views[:m])
+        dists = np.max(np.abs(rows - theta), axis=1)
+        far = np.flatnonzero(dists > math.pi)
+        if far.size:
+            with np.errstate(invalid="ignore"):  # an infinite row, redone if it ends the probe
+                dists[far] = np.max(circular_distance(rows[far], theta), axis=1)
+        out = np.flatnonzero(~(dists <= epsilon))  # escaped, or NaN from a non-finite state
+        if out.size:
+            i = int(out[0])
+            if dists[i] != dists[i]:  # redo the step and its test under the caller's errstate
+                row = rk4(views[i - 1] if i else y, views[i])
+                if np.max(np.abs(row - theta)) > math.pi:
+                    circular_distance(row, theta)
+                raise NonFiniteStateError(done + i + 1)
+            max_distance = max(max_distance, float(np.max(dists[:i + 1])))
+            return EscapeReport(True, (done + i + 1) * dt, max_distance, done + i + 1)
+        max_distance = max(max_distance, float(np.max(dists)))
+        y[...] = rows[-1]
+        if m == _BLOCK_STEPS and float(np.max(np.abs(field(y)))) < 1.0e-13:
+            return EscapeReport(False, None, max_distance, done + m, converged=True)
     return EscapeReport(False, None, max_distance, max_steps)
 
 

@@ -35,9 +35,10 @@ from degen_kuramoto import (
     phase_vector,
 )
 from degen_kuramoto.docio import _format_float
+from degen_kuramoto.dynamics import _rk4
 from degen_kuramoto.experiments import BUCKETS, _family_graphs, _wilson_interval
 from degen_kuramoto.graphs import _bfs_forest, _odd_cycle, contains_triangle, is_bipartite
-from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _wrap
+from degen_kuramoto.oscillator import HALF_PI, TWO_PI, _energies, _field_fn, _row_blocks, _wrap
 from degen_kuramoto.render import PALETTE
 
 
@@ -802,6 +803,60 @@ def reference_instability_probe(
             if float(np.max(np.abs(_reference_field(sys, y)))) < 1.0e-13:
                 return EscapeReport(False, None, max_distance, step, converged=True)
     return EscapeReport(False, None, max_distance, max_steps)
+
+
+def stepwise_instability_probe(
+    sys: OscillatorSystem, theta, direction, x0: float, epsilon: float = 0.5,
+    dt: float = 1.0e-3, max_steps: int = 1_000_000,
+) -> EscapeReport:
+    """`instability_probe`'s loop as it ran over `dynamics._rk4` with the
+    escape and non-finite tests after every step, and the convergence test
+    every 256; arguments must already be valid. Floating-point events come
+    from the same operations in the same order."""
+    theta = phase_vector(theta, sys.graph.vertex_count)
+    field = _field_fn(sys)
+    y = theta + x0 * np.asarray(direction, dtype=float)
+    y_next, gap = np.empty_like(y), np.empty_like(y)
+    rk4 = _rk4(sys, dt)
+    max_distance = 0.0
+    for step in range(1, max_steps + 1):
+        y, y_next = rk4(y, y_next), y
+        # equals the torus distance while it is at most pi
+        dist = float(np.maximum.reduce(np.abs(np.subtract(y, theta, gap), gap)))
+        if dist > math.pi:
+            dist = float(np.max(circular_distance(y, theta)))
+        if dist > max_distance:
+            max_distance = dist
+        if not dist <= epsilon:  # escaped, or NaN from a non-finite state
+            if dist != dist:
+                raise NonFiniteStateError(step)
+            return EscapeReport(True, step * dt, max_distance, step)
+        if step % 256 == 0:
+            if float(np.max(np.abs(field(y)))) < 1.0e-13:
+                return EscapeReport(False, None, max_distance, step, converged=True)
+    return EscapeReport(False, None, max_distance, max_steps)
+
+
+def stepwise_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
+    """`integrate` as it ran over `dynamics._rk4` with a finiteness test after
+    every step; dt and steps must already be valid."""
+    y = phase_vector(theta0, sys.graph.vertex_count)
+    n = y.shape[0]
+    lift = np.empty((steps + 1, n))
+    lift[0] = y
+    step = _rk4(sys, dt)
+    finite = np.empty(n, dtype=bool)
+    for i in range(1, steps + 1):
+        y = step(y, lift[i])
+        if np.count_nonzero(np.isfinite(y, out=finite)) != n:
+            raise NonFiniteStateError(i)
+    if not math.isfinite(float(dt) * steps):
+        raise ValueError("dt * steps must be finite")
+    times = dt * np.arange(steps + 1)
+    energies = _energies(sys, lift)
+    for rows in _row_blocks(*lift.shape):
+        _wrap(lift[rows], out=lift[rows])
+    return SimulationTrace(times, lift, energies)
 
 
 def normal_form_blowup_time(sys: OscillatorSystem, theta, direction, eta: float = 1.0e-2) -> float:

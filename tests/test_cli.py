@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -135,6 +136,46 @@ def test_pinned_cli_outputs(capsys, edge_files, argv, code, out, err):
     if isinstance(out, tuple):
         got_out = (len(got_out.encode()), hashlib.sha256(got_out.encode()).hexdigest())
     assert (got_code, got_out, got_err) == (code, out, err)
+
+
+def simd_dispatch():
+    """The module path of numpy's C core and the SIMD dispatch groups it reports on."""
+    for core in ("numpy._core", "numpy.core"):  # numpy 2, numpy 1.x
+        try:
+            umath = importlib.import_module(f"{core}._multiarray_umath")
+        except ImportError:
+            continue
+        return core, [g for g in umath.__cpu_dispatch__ if umath.__cpu_features__.get(g)]
+    return None, []
+
+
+# A CLI run that first checks that every group it names is switched off.
+SIMD_OFF_CHILD = """\
+import sys
+from {core} import _multiarray_umath as umath
+on = [g for g in {groups!r} if umath.__cpu_features__.get(g)]
+if on:
+    sys.exit(f"dispatch groups still on: {{on}}")
+from degen_kuramoto.cli import main
+main()
+"""
+SIMD_ROWS = [row for row in PINNED_OUTPUTS if row[0].split()[0] in ("probe", "simulate")]
+
+
+@pytest.mark.parametrize("argv,code,out,err", SIMD_ROWS, ids=[r[0] for r in SIMD_ROWS])
+def test_pinned_probe_and_simulate_bytes_hold_with_simd_dispatch_off(edge_files, argv, code,
+                                                                     out, err):
+    core, groups = simd_dispatch()
+    if not groups:
+        pytest.skip("numpy reports no SIMD dispatch group switched on")
+    script = SIMD_OFF_CHILD.format(core=core, groups=groups)
+    argv = [edge_files.get(a, a) for a in argv.split()]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=_child_env(NPY_DISABLE_CPU_FEATURES=",".join(groups)))
+    got_out = done.stdout
+    if isinstance(out, tuple):
+        got_out = (len(got_out.encode()), hashlib.sha256(got_out.encode()).hexdigest())
+    assert (done.returncode, got_out, done.stderr) == (code, out, err)
 
 
 def test_pinned_enumerate_documents_re_emit_and_their_labelings_round_trip(capsys, edge_files):

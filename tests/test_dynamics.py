@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,6 +39,8 @@ from helpers import (
     random_even_bipartite_graph,
     reference_instability_probe,
     reference_integrate,
+    stepwise_instability_probe,
+    stepwise_integrate,
 )
 
 HALF_PI = np.pi / 2
@@ -590,6 +593,144 @@ def test_concurrent_integrations_match_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert traces == serial * 3
+
+
+# --- the 256-step blocks against the per-step loops they replaced ---
+
+BLOCK_EDGES = [1, 255, 256, 257, 511, 512, 513]
+
+
+def same_stepwise_probe(sys_, theta, direction, **kwargs):
+    report = same_probe(sys_, theta, direction, **kwargs)
+    assert report == stepwise_instability_probe(sys_, theta, direction, **kwargs)
+    return report
+
+
+@pytest.mark.parametrize("max_steps", BLOCK_EDGES)
+def test_probe_budgets_at_block_edges_match_the_per_step_loops(max_steps):
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    for start in (theta, np.zeros(4)):
+        report = same_stepwise_probe(sys_, start, direction, x0=2e-2, max_steps=max_steps)
+        assert (report.escaped, report.converged, report.steps) == (False, False, max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [13_055, 13_056, 13_057])
+def test_probe_converges_at_a_block_end_as_the_per_step_loops_do(max_steps):
+    # from sync on C4 the probe parks at step 13,056 = 51 * 256
+    sys_, _, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    report = same_stepwise_probe(sys_, np.zeros(4), direction, x0=2e-2, max_steps=max_steps)
+    assert (report.converged, report.steps) == (max_steps >= 13_056, min(max_steps, 13_056))
+
+
+@pytest.mark.parametrize("k", BLOCK_EDGES)
+def test_probe_escapes_at_block_edges_as_the_per_step_loops_do(k):
+    # From x0 = 0.2 with dt = 2.7 / k, an epsilon between the largest distance
+    # of the first k - 1 steps and that of the first k makes step k the escape.
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    dt = 2.7 / k
+    reach = [stepwise_instability_probe(sys_, theta, direction, x0=0.2, epsilon=1.0, dt=dt,
+                                        max_steps=m).max_distance for m in (k - 1, k) if m]
+    low = reach[0] if k > 1 else 0.8  # x0 < epsilon / 4
+    assert low < reach[-1]
+    report = same_stepwise_probe(sys_, theta, direction, x0=0.2, epsilon=(low + reach[-1]) / 2,
+                                 dt=dt, max_steps=k + 300)
+    assert (report.escaped, report.steps, report.max_distance) == (True, k, reach[-1])
+
+
+def test_probe_past_a_distance_of_pi_matches_the_per_step_loops():
+    sys_, theta, _ = cde_probe_start(cycle_graph(4), 0.1)
+    far = np.array([50.0, 0.0, 0.0, 0.0])
+    for epsilon in (1.3, 2.0, 4.0):
+        same_stepwise_probe(sys_, theta, far, x0=0.1, epsilon=epsilon, max_steps=600)
+
+
+@pytest.mark.parametrize("steps", BLOCK_EDGES)
+def test_integrate_at_block_edges_matches_the_per_step_loops(steps):
+    g = hypercube_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta0 = np.random.default_rng(3501).uniform(0, 2 * np.pi, g.vertex_count)
+    same_trace(sys_, theta0, 1e-3, steps)
+    got, want = integrate(sys_, theta0, 1e-3, steps), stepwise_integrate(sys_, theta0, 1e-3, steps)
+    assert trace_bytes(got) == trace_bytes(want)
+
+
+# Non-finite runs by the step that fails. On C4 the failing state holds a NaN:
+# at the first step, inside the first block, in the last row of a block and in
+# the first row of a block after the first. On one edge with a coupling near
+# the float maximum it is +-inf, which the probe's distance test passes to
+# circular_distance.
+C4_SPLIT = np.array([0.3, 0.1, 0.2, 0.4])
+NON_FINITE_PROBES = {1: 1.7e308, 193: 1e307, 512: 4.36999999999996e306, 769: 6.25999999999992e306}
+NON_FINITE_TRACES = {1: 1.7e308, 155: 1e307, 257: 6.159999999999965e306,
+                     513: 6.979999999999948e306, 657: 5e306}
+# step: (coupling, x0) at dt = 1e-300, from x0 * (1, -1) and from (x0, 0)
+INFINITE_EDGE_PROBES = {3: (1e308, 0.1), 598: (3.1e307, 0.3)}
+INFINITE_EDGE_TRACES = {3: (1e308, 0.2), 585: (3.1e307, 0.2)}
+
+
+def non_finite_runs():
+    """(name, run, (blocked, stepwise), failing step) for each non-finite case."""
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    runs = []
+    for step, dt in NON_FINITE_PROBES.items():
+        kwargs = dict(x0=0.2, epsilon=4.0, dt=dt, max_steps=3_000)  # epsilon > pi: no escape
+        runs.append((f"probe {step}", lambda f, kw=kwargs: f(sys_, theta, direction, **kw),
+                     (instability_probe, stepwise_instability_probe), step))
+    for step, dt in NON_FINITE_TRACES.items():
+        runs.append((f"integrate {step}", lambda f, dt=dt: f(sys_, C4_SPLIT, dt, 3_000),
+                     (integrate, stepwise_integrate), step))
+    pair = np.array([1.0, -1.0])
+    for step, (coupling, x0) in INFINITE_EDGE_PROBES.items():
+        edge = OscillatorSystem(Graph(2, [(0, 1)]), coupling)
+        runs.append((f"edge probe {step}",
+                     lambda f, s=edge, x0=x0: f(s, np.zeros(2), pair, x0=x0, epsilon=4.0,
+                                                dt=1e-300, max_steps=3_000),
+                     (instability_probe, stepwise_instability_probe), step))
+    for step, (coupling, x0) in INFINITE_EDGE_TRACES.items():
+        edge = OscillatorSystem(Graph(2, [(0, 1)]), coupling)
+        runs.append((f"edge integrate {step}",
+                     lambda f, s=edge, x0=x0: f(s, [x0, 0.0], 1e-300, 3_000),
+                     (integrate, stepwise_integrate), step))
+    return runs
+
+
+def outcome(run, f, mode):
+    """The exception f raises under np.errstate(all=mode), and the warnings it records."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all=mode):
+            with pytest.raises((NonFiniteStateError, FloatingPointError)) as info:
+                run(f)
+    error = info.value
+    return (type(error), str(error), getattr(error, "step", None),
+            [(w.category, str(w.message)) for w in caught])
+
+
+@pytest.mark.parametrize("mode", ["ignore", "warn", "raise"])
+def test_non_finite_runs_raise_and_warn_as_the_per_step_loops_do(mode):
+    for name, run, (blocked, stepwise), step in non_finite_runs():
+        got, want = outcome(run, blocked, mode), outcome(run, stepwise, mode)
+        assert got == want, name
+        if mode != "raise":
+            assert got[:3] == (NonFiniteStateError, f"non-finite state at step {step}", step), name
+            assert bool(got[3]) == (mode == "warn"), name
+        else:
+            assert got[0] is FloatingPointError and not got[3], name
+
+
+@pytest.mark.parametrize(("value", "error", "message"), [
+    (10.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    (np.float64(10), TypeError, "'numpy.float64' object cannot be interpreted as an integer"),
+    (0.5, ValueError, "must be at least 1"),
+])
+def test_step_counts_are_read_as_integers(value, error, message):
+    sys_, theta, direction = cde_probe_start(cycle_graph(4), 2e-2)
+    with pytest.raises(error) as info:
+        integrate(sys_, theta, 1e-3, value)
+    assert str(info.value) in (message, f"steps {message}")
+    with pytest.raises(error) as info:
+        instability_probe(sys_, theta, direction, x0=2e-2, max_steps=value)
+    assert str(info.value) in (message, f"max_steps {message}")
 
 
 # --- the escape law of the quadratic normal form ---

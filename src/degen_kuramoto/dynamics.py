@@ -86,17 +86,28 @@ def _rk4(sys: OscillatorSystem, dt: float):
     return step
 
 
-def _step_rows(step, y, rows) -> None:
+def _step_rows(step, y, rows) -> int:
     """Step from y into each row of rows in turn: the one fixed-step loop.
 
-    Overflow and invalid are muted. Only a step whose result is not finite
-    raises them, and the caller redoes that step under its own errstate
-    before it raises NonFiniteStateError, so its caller sees the same
-    warnings and FloatingPointError as a loop that tests every step.
+    Returns how many leading rows are good: from steps that raised nothing,
+    and finite. Overflow and invalid are muted (only a non-finite step
+    raises them); a FloatingPointError from the caller's errstate ends the
+    run at its row (under="raise" with a coupling so small that K * sum sin
+    underflows as the field decays, say). Callers test the good rows and,
+    unless that stops them, redo the next step under their errstate before
+    NonFiniteStateError, so the warnings and FloatingPointError are those of
+    a per-step loop. The limit: with "warn", "call" or "log" for underflow, events from up to
+    _BLOCK_STEPS - 1 = 255 steps past an escape still reach the caller.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in rows:
-            y = step(y, row)
+        try:
+            for ran, row in enumerate(rows):
+                y = step(y, row)
+            ran = len(rows)
+        except FloatingPointError:
+            pass  # rows[ran] is the step that raised
+    finite = np.isfinite(rows[:ran]).all(axis=1)
+    return ran if finite.all() else int(finite.argmin())
 
 
 def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
@@ -104,9 +115,9 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
     continuous lift accumulated by the integrator. The steps go straight
-    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time, and each
-    block is tested for finiteness once; the first step that is not finite
-    is redone from the row before it and raises NonFiniteStateError. The
+    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time; the first
+    step that is not good (`_step_rows`) is redone from the row before it
+    and raises NonFiniteStateError, or the FloatingPointError it raised. The
     lift is then wrapped in place into `states`; beyond it, memory is
     temporaries of a fixed size: the energies are summed in row blocks, bit
     for bit the one-pass formula.
@@ -122,10 +133,9 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     step = _rk4(sys, dt)
     for done in range(0, steps, _BLOCK_STEPS):
         rows = lift[done + 1:done + 1 + _BLOCK_STEPS]
-        _step_rows(step, lift[done], rows)
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
-            i = done + 1 + int(bad[0])
+        good = _step_rows(step, lift[done], rows)
+        if good < len(rows):
+            i = done + 1 + good
             step(lift[i - 1], lift[i])
             raise NonFiniteStateError(i)
     # checked after the loop, so a state that blows up first reports its step
@@ -197,6 +207,18 @@ def _direction(direction, theta: np.ndarray) -> np.ndarray:
     return direction
 
 
+def _shifted(theta, x: float, direction, name: str) -> np.ndarray:
+    """The state theta + x * direction, formed with overflow muted.
+
+    Raises ValueError naming the state (name) when it is not finite.
+    """
+    with np.errstate(over="ignore"):
+        state = theta + x * direction
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"{name} is not finite")
+    return state
+
+
 def instability_probe(
     sys: OscillatorSystem,
     theta,
@@ -210,13 +232,17 @@ def instability_probe(
 
     Reports whether the max-over-vertices circular distance from theta ever
     exceeds epsilon. theta must be an equilibrium (max |F| < 1e-10),
-    epsilon > 0, x0 finite with |x0| < epsilon / 4, dt > 0 and max_steps >= 1. Stops early, as not
+    epsilon > 0, x0 finite with |x0| < epsilon / 4, dt > 0 and
+    max_steps >= 1; then the start state theta + x0 * direction must be
+    finite (ValueError naming it, before any step). Stops early, as not
     escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13,
     tested every _BLOCK_STEPS steps): residual drift over the remaining
     budget is then far below epsilon. Raises NonFiniteStateError if the
-    state stops being finite. The steps run _BLOCK_STEPS at a time, and the
-    tests once per block (`_escape`); the report is the same as that of a
-    loop that tests every step.
+    state stops being finite, and a step's FloatingPointError from the
+    caller's errstate, unless an earlier step escaped. The steps run
+    _BLOCK_STEPS at a time, and the tests once per block on the good rows
+    (`_escape`, `_step_rows`); the report is the same as that of a loop
+    that tests every step.
     """
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
@@ -237,42 +263,43 @@ def instability_probe(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     max_steps = operator.index(max_steps)
-    return _escape(field, _rk4(sys, dt), theta, theta + x0 * direction, epsilon, dt, max_steps)
+    y = _shifted(theta, x0, direction, "start state theta + x0 * direction")
+    return _escape(field, _rk4(sys, dt), theta, y, epsilon, dt, max_steps)
 
 
 def _escape(field, rk4, theta, y, epsilon, dt, max_steps) -> EscapeReport:
     """instability_probe's loop from the start state y, on checked arguments.
 
-    The steps go into one reused (_BLOCK_STEPS, n) block, and the block's
-    rows are tested together. The first row whose distance from theta is
-    not at most epsilon ends the probe; the rows after it are dropped. The
+    The steps go into one reused (_BLOCK_STEPS, n) block, and its good rows
+    (`_step_rows`) are tested together. The first row whose distance from
+    theta exceeds epsilon ends the probe; the rows after it are dropped. The
     distance is max |row - theta|, which equals the torus distance while it
-    is at most pi, and `circular_distance` above pi. A full block ends on a
-    multiple of _BLOCK_STEPS steps, and its last row gets the convergence
-    test. y holds the state before each block.
+    is at most pi, and `circular_distance` above pi. If no good row escapes
+    and a step is not good, that step and its distance test are redone
+    under the caller's errstate before NonFiniteStateError. A full block
+    ends on a multiple of _BLOCK_STEPS steps, and its last row gets the
+    convergence test. y holds the state before each block.
     """
     block = np.empty((_BLOCK_STEPS, y.shape[0]))
-    views = list(block)
     max_distance = 0.0
     for done in range(0, max_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, max_steps - done)
-        rows = block[:m]
-        _step_rows(rk4, y, views[:m])
+        good = _step_rows(rk4, y, block[:m])
+        rows = block[:good]
         dists = np.max(np.abs(rows - theta), axis=1)
         far = np.flatnonzero(dists > math.pi)
         if far.size:
-            with np.errstate(invalid="ignore"):  # an infinite row, redone if it ends the probe
-                dists[far] = np.max(circular_distance(rows[far], theta), axis=1)
-        out = np.flatnonzero(~(dists <= epsilon))  # escaped, or NaN from a non-finite state
+            dists[far] = np.max(circular_distance(rows[far], theta), axis=1)
+        out = np.flatnonzero(dists > epsilon)
         if out.size:
             i = int(out[0])
-            if dists[i] != dists[i]:  # redo the step and its test under the caller's errstate
-                row = rk4(views[i - 1] if i else y, views[i])
-                if np.max(np.abs(row - theta)) > math.pi:
-                    circular_distance(row, theta)
-                raise NonFiniteStateError(done + i + 1)
             max_distance = max(max_distance, float(np.max(dists[:i + 1])))
             return EscapeReport(True, (done + i + 1) * dt, max_distance, done + i + 1)
+        if good < m:
+            row = rk4(block[good - 1] if good else y, block[good])
+            if np.max(np.abs(row - theta)) > math.pi:
+                circular_distance(row, theta)
+            raise NonFiniteStateError(done + good + 1)
         max_distance = max(max_distance, float(np.max(dists)))
         y[...] = rows[-1]
         if m == _BLOCK_STEPS and float(np.max(np.abs(field(y)))) < 1.0e-13:
@@ -297,12 +324,17 @@ def edge_pair_direction(g: Graph, c: EulerCircuit) -> np.ndarray:
 def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e-3) -> float:
     """Sign s in {+1, -1} for which theta + s * probe * direction lowers the energy.
 
-    direction and probe must be finite: a NaN energy would compare false.
+    direction, probe and theta must be finite, and so must the two probe
+    states theta +- probe * direction (ValueError naming the state): a NaN
+    energy would compare false. The states are checked, not their energies: a
+    finite state whose energy overflows (a huge coupling) is compared as is.
     """
     theta = np.asarray(theta, dtype=float)
     direction = _direction(direction, theta)
     if not math.isfinite(probe):
         raise ValueError("probe must be finite")
-    e_plus = energy(sys, theta + probe * direction)
-    e_minus = energy(sys, theta - probe * direction)
-    return 1.0 if e_plus <= e_minus else -1.0
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    plus = _shifted(theta, probe, direction, "probe state theta + probe * direction")
+    minus = _shifted(theta, -probe, direction, "probe state theta - probe * direction")
+    return 1.0 if energy(sys, plus) <= energy(sys, minus) else -1.0

@@ -110,6 +110,9 @@ PINNED_OUTPUTS = [
     ("probe --input C4 --labels 0,1,2,3 --x0 0.2 --epsilon 1.0", 0, '{"converged":false,'
      '"escaped":true,"exit_time":2.7250000000000001,"max_distance":1.0010396988272361,'
      '"steps":2725}\n', ""),
+    # a finite direction and x0 whose start state overflows: refused before any step
+    ("probe --input C4 --labels 0,1,2,3 --direction 1.7e308,-1.7e308,0,0 --x0 2 --epsilon 10", 1,
+     "", "error: start state theta + x0 * direction is not finite\n"),
     ("simulate --input C4 --phases 0.4,0.1,0.2,0.3 --steps 200", 0,
      (23417, "577bf5fd91e8fcf5843c0780527af17dffa385fd9c5f41ae53211e23768137ad"), ""),
     ("sweep --family cycle --params 5:5 --budget -1", 1, "",

@@ -361,6 +361,62 @@ def test_instability_probe_rejects_a_non_finite_x0(x0):
         instability_probe(sys_, theta, [1.0, -1.0, 0.0, 0.0], x0=x0, epsilon=np.nan)
 
 
+# finite arguments whose derived states overflow
+HUGE = [1.7e308, -1.7e308, 0.0, 0.0]
+
+
+def no_warnings(call):
+    """call()'s exception, asserting that it recorded no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert not caught
+    return str(info.value)
+
+
+def test_instability_probe_rejects_a_start_state_that_overflows():
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    message = no_warnings(lambda: instability_probe(sys_, theta, HUGE, x0=2.0, epsilon=10.0))
+    assert message == "start state theta + x0 * direction is not finite"
+    # the argument checks still come first
+    with pytest.raises(ValueError, match=r"^\|x0\| must be smaller than epsilon / 4$"):
+        instability_probe(sys_, theta, HUGE, x0=2.0, epsilon=1.0)
+
+
+def test_descending_sign_rejects_a_probe_state_that_overflows():
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem.identical(g)
+    theta = enumerate_cdes(g)[0].phases()
+    message = no_warnings(lambda: descending_sign(sys_, theta, HUGE, probe=10))
+    assert message == "probe state theta + probe * direction is not finite"
+    # theta is not wrapped here, so the minus state alone can overflow
+    far = np.array([1e308, 0.0, 0.0, 0.0])
+    message = no_warnings(lambda: descending_sign(sys_, far, [-1.0, 0.0, 0.0, 0.0], probe=1e308))
+    assert message == "probe state theta - probe * direction is not finite"
+
+
+def test_descending_sign_compares_finite_states_whose_energies_overflow():
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem(g, 1.7e308)
+    theta = enumerate_cdes(g)[0].phases()
+    direction = np.array([1.0, -1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert all(math.isinf(energy(sys_, theta + s * direction)) for s in (1.0, -1.0))
+        # the states are finite, so no ValueError; the sign itself is not pinned
+        assert descending_sign(sys_, theta, direction, probe=1.0) in (1.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_descending_sign_rejects_a_non_finite_theta(bad):
+    sys_ = OscillatorSystem.identical(cycle_graph(4))
+    message = no_warnings(lambda: descending_sign(sys_, [bad, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]))
+    assert message == "theta must be finite"
+
+
 # --- the shared RK4 kernel against the plain per-step loops it replaced ---
 
 
@@ -716,6 +772,62 @@ def test_non_finite_runs_raise_and_warn_as_the_per_step_loops_do(mode):
             assert bool(got[3]) == (mode == "warn"), name
         else:
             assert got[0] is FloatingPointError and not got[3], name
+
+
+# A raising step inside a block, from the real kernel. With a coupling of
+# TINY = 1e-300 and dt = 0.1 / TINY, the C4 flow from its CDE at x0 = 0.2 along
+# (-1, 1, 0, 0) is the identical flow at step 0.1: it leaves the CDE for sync
+# (distance 1 at step 28), and K * sum sin underflows at step 122, once the
+# field has fallen below 2.2e-8. An isolated fifth vertex with frequency w
+# drifts by w * dt a step and overflows at step 50 for w = 3.6e7, and only
+# after step 122 for w = 1e7.
+TINY = 1e-300
+
+
+def underflow_outcome(call):
+    """call()'s result or exception under np.errstate(under="raise"), and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(under="raise"):
+            try:
+                result = call()
+            except (NonFiniteStateError, FloatingPointError) as error:
+                result = (type(error), str(error))
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(("epsilon", "escape"), [(1.0, 28), (3.0, None)])  # 3.0: out of reach
+def test_an_underflow_ends_the_good_rows_of_a_probe_as_the_per_step_loop_does(epsilon, escape):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem(g, TINY)
+    theta = enumerate_cdes(g)[0].phases()
+    call = lambda f: f(sys_, theta, [-1.0, 1.0, 0.0, 0.0], x0=0.2, epsilon=epsilon,
+                       dt=0.1 / TINY, max_steps=1_000)
+    got = underflow_outcome(lambda: call(instability_probe))
+    assert got == underflow_outcome(lambda: call(stepwise_instability_probe))
+    result, caught = got
+    assert not caught
+    if escape:  # the underflow 94 steps later in the block is dropped
+        assert (result.escaped, result.steps) == (True, escape)
+    else:  # before the block's convergence test at step 256
+        assert result == (FloatingPointError, "underflow encountered in multiply")
+
+
+@pytest.mark.parametrize(("w", "overflow"), [(3.6e7, 50), (1e7, None)])
+def test_an_underflow_ends_the_good_rows_of_a_trace_as_the_per_step_loop_does(w, overflow):
+    g = cycle_graph(4)
+    sys_ = OscillatorSystem(Graph(5, g.edges), TINY, [0.0, 0.0, 0.0, 0.0, w])
+    theta0 = np.append(enumerate_cdes(g)[0].phases() + [-0.2, 0.2, 0.0, 0.0], 0.0)
+    call = lambda f: f(sys_, theta0, 0.1 / TINY, 1_000)
+    got = underflow_outcome(lambda: call(integrate))
+    assert got == underflow_outcome(lambda: call(stepwise_integrate))
+    result, caught = got
+    if overflow:  # the infinite row comes first, and its step is redone with a warning
+        assert result == (NonFiniteStateError, f"non-finite state at step {overflow}")
+        assert caught and set(caught) == {"overflow encountered in add"}
+    else:
+        assert result == (FloatingPointError, "underflow encountered in multiply")
+        assert not caught
 
 
 @pytest.mark.parametrize(("value", "error", "message"), [

@@ -86,28 +86,32 @@ def _rk4(sys: OscillatorSystem, dt: float):
     return step
 
 
-def _step_rows(step, y, rows) -> int:
+def _step_rows(step, y, rows) -> tuple[int, int]:
     """Step from y into each row of rows in turn: the one fixed-step loop.
 
-    Returns how many leading rows are good: from steps that raised nothing,
-    and finite. Overflow and invalid are muted (only a non-finite step
-    raises them); a FloatingPointError from the caller's errstate ends the
-    run at its row (under="raise" with a coupling so small that K * sum sin
-    underflows as the field decays, say). Callers test the good rows and,
-    unless that stops them, redo the next step under their errstate before
-    NonFiniteStateError, so the warnings and FloatingPointError are those of
-    a per-step loop. The limit: with "warn", "call" or "log" for underflow, events from up to
-    _BLOCK_STEPS - 1 = 255 steps past an escape still reach the caller.
+    Returns (good, first): how many leading rows are finite, and the row
+    whose step raised the first held floating-point event (len(rows) if
+    none). Each event kind the caller's errstate does not ignore is held:
+    sent to a recorder (errstate "call"), so no step here warns, calls, logs
+    or raises. Callers `_replay` the steps from first through the last row
+    they keep, and so see the events of a per-step loop that stopped there.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for ran, row in enumerate(rows):
-                y = step(y, row)
-            ran = len(rows)
-        except FloatingPointError:
-            pass  # rows[ran] is the step that raised
-    finite = np.isfinite(rows[:ran]).all(axis=1)
-    return ran if finite.all() else int(finite.argmin())
+    held = []
+    kinds = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    with np.errstate(call=lambda *_: held.append(ran), **kinds):
+        for ran, row in enumerate(rows):
+            y = step(y, row)
+    finite = np.isfinite(rows).all(axis=1)
+    return int(np.logical_and.accumulate(finite).sum()), held[0] if held else len(rows)
+
+
+def _replay(step, y, rows, start, stop) -> None:
+    """Redo the steps into rows[start:stop] under the caller's errstate.
+
+    The one place a step is redone; y is the state before rows[0].
+    """
+    for i in range(start, stop):
+        step(rows[i - 1] if i else y, rows[i])
 
 
 def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> SimulationTrace:
@@ -115,12 +119,13 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
     continuous lift accumulated by the integrator. The steps go straight
-    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time; the first
-    step that is not good (`_step_rows`) is redone from the row before it
-    and raises NonFiniteStateError, or the FloatingPointError it raised. The
-    lift is then wrapped in place into `states`; beyond it, memory is
-    temporaries of a fixed size: the energies are summed in row blocks, bit
-    for bit the one-pass formula.
+    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time
+    (`_step_rows`). The steps of a block from its first held event through
+    its first non-finite row are replayed, which raises that event's
+    FloatingPointError or reports its warnings; a non-finite row then
+    raises NonFiniteStateError. The lift is then wrapped in place into
+    `states`; beyond it, memory is temporaries of a fixed size: the
+    energies are summed in row blocks, bit for bit the one-pass formula.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -133,11 +138,10 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     step = _rk4(sys, dt)
     for done in range(0, steps, _BLOCK_STEPS):
         rows = lift[done + 1:done + 1 + _BLOCK_STEPS]
-        good = _step_rows(step, lift[done], rows)
+        good, first = _step_rows(step, lift[done], rows)
+        _replay(step, lift[done], rows, first, min(good + 1, len(rows)))
         if good < len(rows):
-            i = done + 1 + good
-            step(lift[i - 1], lift[i])
-            raise NonFiniteStateError(i)
+            raise NonFiniteStateError(done + 1 + good)
     # checked after the loop, so a state that blows up first reports its step
     if not math.isfinite(float(dt) * steps):
         raise ValueError("dt * steps must be finite")
@@ -241,8 +245,9 @@ def instability_probe(
     state stops being finite, and a step's FloatingPointError from the
     caller's errstate, unless an earlier step escaped. The steps run
     _BLOCK_STEPS at a time, and the tests once per block on the good rows
-    (`_escape`, `_step_rows`); the report is the same as that of a loop
-    that tests every step.
+    (`_escape`, `_step_rows`); the report, and the warnings, callbacks and
+    log writes of the caller's errstate, are those of a loop that tests
+    every step.
     """
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
@@ -271,34 +276,36 @@ def _escape(field, rk4, theta, y, epsilon, dt, max_steps) -> EscapeReport:
     """instability_probe's loop from the start state y, on checked arguments.
 
     The steps go into one reused (_BLOCK_STEPS, n) block, and its good rows
-    (`_step_rows`) are tested together. The first row whose distance from
-    theta exceeds epsilon ends the probe; the rows after it are dropped. The
-    distance is max |row - theta|, which equals the torus distance while it
-    is at most pi, and `circular_distance` above pi. If no good row escapes
-    and a step is not good, that step and its distance test are redone
-    under the caller's errstate before NonFiniteStateError. A full block
-    ends on a multiple of _BLOCK_STEPS steps, and its last row gets the
+    (`_step_rows`) are tested together. The distance is max |row - theta|,
+    which equals the torus distance while it is at most pi, and
+    `circular_distance` above pi. The block is cut after the first row whose
+    distance from theta exceeds epsilon, else after its first non-finite
+    row, else at its end; the steps from its first held event up to the cut
+    are replayed under the caller's errstate (`_replay`), and the rows after
+    the cut are dropped. An escape ends the probe; a non-finite row gets its
+    distance test rerun and raises NonFiniteStateError. A full block ends
+    on a multiple of _BLOCK_STEPS steps, and its last row gets the
     convergence test. y holds the state before each block.
     """
     block = np.empty((_BLOCK_STEPS, y.shape[0]))
     max_distance = 0.0
     for done in range(0, max_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, max_steps - done)
-        good = _step_rows(rk4, y, block[:m])
+        good, first = _step_rows(rk4, y, block[:m])
         rows = block[:good]
         dists = np.max(np.abs(rows - theta), axis=1)
         far = np.flatnonzero(dists > math.pi)
         if far.size:
             dists[far] = np.max(circular_distance(rows[far], theta), axis=1)
         out = np.flatnonzero(dists > epsilon)
+        cut = int(out[0]) + 1 if out.size else min(good + 1, m)
+        _replay(rk4, y, block, first, cut)
         if out.size:
-            i = int(out[0])
-            max_distance = max(max_distance, float(np.max(dists[:i + 1])))
-            return EscapeReport(True, (done + i + 1) * dt, max_distance, done + i + 1)
+            max_distance = max(max_distance, float(np.max(dists[:cut])))
+            return EscapeReport(True, (done + cut) * dt, max_distance, done + cut)
         if good < m:
-            row = rk4(block[good - 1] if good else y, block[good])
-            if np.max(np.abs(row - theta)) > math.pi:
-                circular_distance(row, theta)
+            if np.max(np.abs(block[good] - theta)) > math.pi:
+                circular_distance(block[good], theta)
             raise NonFiniteStateError(done + good + 1)
         max_distance = max(max_distance, float(np.max(dists)))
         y[...] = rows[-1]
@@ -326,8 +333,11 @@ def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e
 
     direction, probe and theta must be finite, and so must the two probe
     states theta +- probe * direction (ValueError naming the state): a NaN
-    energy would compare false. The states are checked, not their energies: a
-    finite state whose energy overflows (a huge coupling) is compared as is.
+    energy would compare false. The states are checked, not their energies:
+    when a coupling K > 1 makes the two energies not both finite, the states
+    are compared by E / K, the energy with coupling 1 and frequencies
+    omega / K, which orders them as E does. For K <= 1, E / K overflows
+    wherever E does.
     """
     theta = np.asarray(theta, dtype=float)
     direction = _direction(direction, theta)
@@ -337,4 +347,8 @@ def descending_sign(sys: OscillatorSystem, theta, direction, probe: float = 1.0e
         raise ValueError("theta must be finite")
     plus = _shifted(theta, probe, direction, "probe state theta + probe * direction")
     minus = _shifted(theta, -probe, direction, "probe state theta - probe * direction")
-    return 1.0 if energy(sys, plus) <= energy(sys, minus) else -1.0
+    e_plus, e_minus = energy(sys, plus), energy(sys, minus)
+    if sys.coupling > 1 and not (math.isfinite(e_plus) and math.isfinite(e_minus)):
+        unit = OscillatorSystem(sys.graph, 1.0, sys.frequencies / sys.coupling)
+        e_plus, e_minus = energy(unit, plus), energy(unit, minus)
+    return 1.0 if e_plus <= e_minus else -1.0

@@ -406,8 +406,17 @@ def test_descending_sign_compares_finite_states_whose_energies_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert all(math.isinf(energy(sys_, theta + s * direction)) for s in (1.0, -1.0))
-        # the states are finite, so no ValueError; the sign itself is not pinned
-        assert descending_sign(sys_, theta, direction, probe=1.0) in (1.0, -1.0)
+        # the states are finite, so no ValueError; they are ordered by E / K, as at K = 1
+        assert descending_sign(sys_, theta, direction, probe=1.0) == -1.0
+        assert descending_sign(sys_, theta, -direction, probe=1.0) == 1.0
+        # below K = 1, E / K overflows wherever E does: an infinite energy is compared as is
+        weak = OscillatorSystem(g, 0.5, [0.0, 1.7e308, 0.0, 0.0])
+        assert math.isinf(energy(weak, theta - direction))
+        assert descending_sign(weak, theta, direction, probe=1.0) == -1.0
+        assert descending_sign(weak, theta, -direction, probe=1.0) == 1.0
+    unit = OscillatorSystem(g, 1.0)
+    assert descending_sign(unit, theta, direction, probe=1.0) == -1.0
+    assert descending_sign(unit, theta, -direction, probe=1.0) == 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -779,21 +788,36 @@ def test_non_finite_runs_raise_and_warn_as_the_per_step_loops_do(mode):
 # (-1, 1, 0, 0) is the identical flow at step 0.1: it leaves the CDE for sync
 # (distance 1 at step 28), and K * sum sin underflows at step 122, once the
 # field has fallen below 2.2e-8. An isolated fifth vertex with frequency w
-# drifts by w * dt a step and overflows at step 50 for w = 3.6e7, and only
-# after step 122 for w = 1e7.
+# drifts by w * dt a step and overflows at step 50 for w = 3.6e7, and at
+# step 180, after the underflow, for w = 1e7.
 TINY = 1e-300
 
 
-def underflow_outcome(call):
-    """call()'s result or exception under np.errstate(under="raise"), and its warnings."""
+class EventLog(list):
+    """One recorder for np.errstate: its "call" callback and its "log" sink."""
+
+    def __call__(self, kind, flag):
+        self.append((kind, flag))
+
+    def write(self, message):
+        self.append(message)
+
+
+def recorded_outcome(call, **modes):
+    """call()'s result or exception under np.errstate(**modes), its warnings,
+    and what one EventLog got as the errstate's callback and log sink."""
+    events = EventLog()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with np.errstate(under="raise"):
+        with np.errstate(call=events, **modes):
             try:
                 result = call()
             except (NonFiniteStateError, FloatingPointError) as error:
                 result = (type(error), str(error))
-    return result, [str(w.message) for w in caught]
+    return result, [str(w.message) for w in caught], events
+
+
+UNDERFLOW_MODES = ["raise", "warn", "call", "log"]
 
 
 @pytest.mark.parametrize(("epsilon", "escape"), [(1.0, 28), (3.0, None)])  # 3.0: out of reach
@@ -803,14 +827,19 @@ def test_an_underflow_ends_the_good_rows_of_a_probe_as_the_per_step_loop_does(ep
     theta = enumerate_cdes(g)[0].phases()
     call = lambda f: f(sys_, theta, [-1.0, 1.0, 0.0, 0.0], x0=0.2, epsilon=epsilon,
                        dt=0.1 / TINY, max_steps=1_000)
-    got = underflow_outcome(lambda: call(instability_probe))
-    assert got == underflow_outcome(lambda: call(stepwise_instability_probe))
-    result, caught = got
-    assert not caught
-    if escape:  # the underflow 94 steps later in the block is dropped
-        assert (result.escaped, result.steps) == (True, escape)
-    else:  # before the block's convergence test at step 256
-        assert result == (FloatingPointError, "underflow encountered in multiply")
+    for mode in UNDERFLOW_MODES:
+        got = recorded_outcome(lambda: call(instability_probe), under=mode)
+        assert got == recorded_outcome(lambda: call(stepwise_instability_probe), under=mode), mode
+        result, caught, events = got
+        if escape:  # nothing from the underflow 94 steps later in the block
+            assert (result.escaped, result.steps) == (True, escape)
+            assert not caught and not events, mode
+        elif mode == "raise":  # before the block's convergence test at step 256
+            assert not caught
+            assert result == (FloatingPointError, "underflow encountered in multiply")
+        else:  # every underflow up to and in the convergence test at step 256
+            assert (result.converged, result.steps) == (True, 256)
+            assert (len(caught), len(events)) == ((538, 0) if mode == "warn" else (0, 538))
 
 
 @pytest.mark.parametrize(("w", "overflow"), [(3.6e7, 50), (1e7, None)])
@@ -819,15 +848,32 @@ def test_an_underflow_ends_the_good_rows_of_a_trace_as_the_per_step_loop_does(w,
     sys_ = OscillatorSystem(Graph(5, g.edges), TINY, [0.0, 0.0, 0.0, 0.0, w])
     theta0 = np.append(enumerate_cdes(g)[0].phases() + [-0.2, 0.2, 0.0, 0.0], 0.0)
     call = lambda f: f(sys_, theta0, 0.1 / TINY, 1_000)
-    got = underflow_outcome(lambda: call(integrate))
-    assert got == underflow_outcome(lambda: call(stepwise_integrate))
-    result, caught = got
-    if overflow:  # the infinite row comes first, and its step is redone with a warning
-        assert result == (NonFiniteStateError, f"non-finite state at step {overflow}")
-        assert caught and set(caught) == {"overflow encountered in add"}
-    else:
-        assert result == (FloatingPointError, "underflow encountered in multiply")
-        assert not caught
+    for mode in UNDERFLOW_MODES:
+        got = recorded_outcome(lambda: call(integrate), under=mode)
+        assert got == recorded_outcome(lambda: call(stepwise_integrate), under=mode), mode
+        result, caught, events = got
+        if overflow:  # the infinite row comes first, and its step is replayed with a warning
+            assert result == (NonFiniteStateError, f"non-finite state at step {overflow}")
+            assert caught and set(caught) == {"overflow encountered in add"}
+            assert not events, mode
+        elif mode == "raise":
+            assert result == (FloatingPointError, "underflow encountered in multiply")
+            assert not caught
+        else:  # the underflows of steps 122 to 180 reach the caller, and none after
+            assert result == (NonFiniteStateError, "non-finite state at step 180")
+            underflows = [m for m in caught if m.startswith("underflow")]
+            assert len(caught) - len(underflows) == 2  # the overflow of step 180
+            assert len(underflows if mode == "warn" else events) == 233
+
+
+@pytest.mark.parametrize("mode", ["call", "log"])
+def test_non_finite_runs_call_and_log_as_the_per_step_loops_do(mode):
+    for name, run, (blocked, stepwise), step in non_finite_runs():
+        got = recorded_outcome(lambda: run(blocked), all=mode)
+        assert got == recorded_outcome(lambda: run(stepwise), all=mode), name
+        result, caught, events = got
+        assert result == (NonFiniteStateError, f"non-finite state at step {step}"), name
+        assert not caught and events, name
 
 
 @pytest.mark.parametrize(("value", "error", "message"), [

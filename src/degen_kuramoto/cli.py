@@ -301,8 +301,9 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # error lines, not numpy warnings
-            # a subcommand with --input takes its document as a second argument
-            docs = (read_document(Path(args.input).read_text()),) if "input" in args else ()
+            # a subcommand with --input takes its document as a second argument; UTF-8, BOM dropped
+            docs = ((read_document(Path(args.input).read_text(encoding="utf-8-sig")),)
+                    if "input" in args else ())
             text = args.func(args, *docs)
         if args.output:
             Path(args.output).write_text(text)

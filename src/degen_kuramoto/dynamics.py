@@ -58,17 +58,18 @@ class SimulationTrace:
     energies: np.ndarray
 
 
-def _rk4(sys: OscillatorSystem, dt: float):
-    """One classical RK4 step of the flow as a function `step(y, out)`.
+def _rk4(field, n: int, dt: float):
+    """One classical RK4 step of field as a function `step(y, out)`.
 
-    The step from y is written into out, which must not be y. The stage
-    state and k1..k4 are buffers this closure owns, written by the textbook
-    step's own operations in its order, so the arithmetic is the same bit
-    for bit. The constants are 0-d arrays of the textbook step's own
-    expressions, which only saves a conversion per operation.
+    field is a `field(theta, out)` of n-vectors as `_field_fn` builds it;
+    the caller builds it once and may evaluate it between steps. The step
+    from y is written into out, which must not be y. The stage state and
+    k1..k4 are buffers this closure owns, written by the textbook step's
+    own operations in its order, so the arithmetic is the same bit for bit.
+    The constants are 0-d arrays of the textbook step's own expressions,
+    which only saves a conversion per operation.
     """
-    field = _field_fn(sys)
-    stage, k1, k2, k3, k4 = np.empty((5, sys.graph.vertex_count))
+    stage, k1, k2, k3, k4 = np.empty((5, n))
     half, full, sixth = (np.array(c, dtype=float) for c in (0.5 * dt, dt, dt / 6.0))
     two = np.array(2.0)
     add, multiply = np.add, np.multiply
@@ -118,14 +119,15 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     """Fixed-step RK4 trace of the flow from theta0.
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
-    continuous lift accumulated by the integrator. The steps go straight
-    into the (steps + 1, n) lift, _BLOCK_STEPS rows at a time
-    (`_step_rows`). The steps of a block from its first held event through
-    its first non-finite row are replayed, which raises that event's
-    FloatingPointError or reports its warnings; a non-finite row then
-    raises NonFiniteStateError. The lift is then wrapped in place into
-    `states`; beyond it, memory is temporaries of a fixed size: the
-    energies are summed in row blocks, bit for bit the one-pass formula.
+    continuous lift accumulated by the integrator. One field of sys drives
+    the kernel (`_rk4`), whose steps go straight into the (steps + 1, n)
+    lift, _BLOCK_STEPS rows at a time (`_step_rows`). The steps of a block
+    from its first held event through its first non-finite row are
+    replayed, which raises that event's FloatingPointError or reports its
+    warnings; a non-finite row then raises NonFiniteStateError. The lift is
+    then wrapped in place into `states`; beyond it, memory is temporaries
+    of a fixed size: the energies are summed in row blocks, bit for bit the
+    one-pass formula.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -135,7 +137,7 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     y = phase_vector(theta0, sys.graph.vertex_count)
     lift = np.empty((steps + 1, y.shape[0]))
     lift[0] = y
-    step = _rk4(sys, dt)
+    step = _rk4(_field_fn(sys), y.shape[0], dt)
     for done in range(0, steps, _BLOCK_STEPS):
         rows = lift[done + 1:done + 1 + _BLOCK_STEPS]
         good, first = _step_rows(step, lift[done], rows)
@@ -243,11 +245,12 @@ def instability_probe(
     tested every _BLOCK_STEPS steps): residual drift over the remaining
     budget is then far below epsilon. Raises NonFiniteStateError if the
     state stops being finite, and a step's FloatingPointError from the
-    caller's errstate, unless an earlier step escaped. The steps run
-    _BLOCK_STEPS at a time, and the tests once per block on the good rows
-    (`_escape`, `_step_rows`); the report, and the warnings, callbacks and
-    log writes of the caller's errstate, are those of a loop that tests
-    every step.
+    caller's errstate, unless an earlier step escaped. The one field built
+    for the equilibrium test also drives the kernel (`_rk4`) and the
+    convergence test. The steps run _BLOCK_STEPS at a time, and the tests
+    once per block on the good rows (`_escape`, `_step_rows`); the report,
+    and the warnings, callbacks and log writes of the caller's errstate,
+    are those of a loop that tests every step.
     """
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
@@ -269,7 +272,7 @@ def instability_probe(
         raise ValueError("max_steps must be at least 1")
     max_steps = operator.index(max_steps)
     y = _shifted(theta, x0, direction, "start state theta + x0 * direction")
-    return _escape(field, _rk4(sys, dt), theta, y, epsilon, dt, max_steps)
+    return _escape(field, _rk4(field, theta.shape[0], dt), theta, y, epsilon, dt, max_steps)
 
 
 def _escape(field, rk4, theta, y, epsilon, dt, max_steps) -> EscapeReport:

@@ -551,6 +551,73 @@ def reference_family_sweep(family: str, parameters, glue_seed: str = "c4",
     return rows
 
 
+def _exact_half_count(g: Graph, walk) -> int:
+    """How many 0/1 values s on the vertices of walk give each of their
+    neighbors exactly half its degree at s = 1, counted without listing one.
+
+    Each neighbor must have all its neighbors in walk, as when walk is one
+    side of a bipartite component. A frontier DP over walk in order: a state
+    holds, for each open neighbor (some of its neighbors walked, not all),
+    how many walked ones have s = 1, and maps to its number of paths. A path
+    dies once a neighbor has more than half its degree at s = 1 or at s = 0,
+    so a neighbor closes, its last neighbor walked, with exactly half.
+    """
+    closes = {x: i for i, y in enumerate(walk) for x in g.neighbors(y)}
+    walked = Counter()
+    frontier, states = [], {(): 1}
+    for i, y in enumerate(walk):
+        nbrs = g.neighbors(y)
+        frontier += [x for x in nbrs if not walked[x]]
+        walked.update(nbrs)
+        hit = [j for j, x in enumerate(frontier) if x in nbrs]
+        keep = [j for j, x in enumerate(frontier) if closes[x] != i]
+        nxt = Counter()
+        for state, paths in states.items():
+            state = state + (0,) * (len(frontier) - len(state))
+            for s in (0, 1):
+                ones = list(state)
+                for j in hit:
+                    ones[j] += s
+                if all(2 * max(ones[j], walked[frontier[j]] - ones[j]) <= g.degree(frontier[j])
+                       for j in hit):
+                    nxt[tuple(ones[j] for j in keep)] += paths
+        frontier = [frontier[j] for j in keep]
+        states = nxt
+    return sum(states.values())
+
+
+def frontier_cde_count(g: Graph) -> int:
+    """len(enumerate_cdes(g)) from a frontier DP per side, with no labeling listed.
+
+    Its own BFS 2-colors each component from its smallest vertex. A CDE gives
+    each side's vertices s values with every neighbor at exactly half its
+    degree in ones, and the two sides choose independently; the root's side
+    is halved for the root pinned at label 0 (flipping every s of a side maps
+    its solutions onto themselves). 0 for an odd degree or an odd cycle.
+    """
+    n = g.vertex_count
+    if any(g.degree(v) % 2 for v in range(n)):
+        return 0
+    side = [None] * n
+    count = 1
+    for root in range(n):
+        if side[root] is not None or not g.degree(root):
+            continue
+        side[root], order, queue = 0, [], deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in g.neighbors(v):
+                if side[w] is None:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return 0
+        pinned = _exact_half_count(g, [v for v in order if side[v] == 0])
+        count *= pinned // 2 * _exact_half_count(g, [v for v in order if side[v] == 1])
+    return count
+
+
 def random_even_bipartite_graph(n: int, cycles: int, rng: np.random.Generator) -> Graph:
     """Symmetric difference of random 4-cycles across a fixed split of 0..n-1
     (n >= 4): every degree stays even and the split stays a bipartition."""
@@ -699,7 +766,9 @@ def reference_is_cde_nonidentical(sys: OscillatorSystem, theta, tol: float = 1.0
                 ratios_integral=integral,
             )
     for k in range(g.vertex_count):
-        s = sum(float(np.sin(theta[j] - theta[k])) for j in g.neighbors(k))
+        s = 0.0
+        for j in g.neighbors(k):  # left to right, as sum was before Python 3.12 compensated it
+            s += float(np.sin(theta[j] - theta[k]))
         if abs(s + ratios[k]) > tol:
             return NonidenticalVerdict(
                 False,
@@ -817,7 +886,7 @@ def stepwise_instability_probe(
     field = _field_fn(sys)
     y = theta + x0 * np.asarray(direction, dtype=float)
     y_next, gap = np.empty_like(y), np.empty_like(y)
-    rk4 = _rk4(sys, dt)
+    rk4 = _rk4(field, y.shape[0], dt)
     max_distance = 0.0
     for step in range(1, max_steps + 1):
         y, y_next = rk4(y, y_next), y
@@ -844,7 +913,7 @@ def stepwise_integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> 
     n = y.shape[0]
     lift = np.empty((steps + 1, n))
     lift[0] = y
-    step = _rk4(sys, dt)
+    step = _rk4(_field_fn(sys), n, dt)
     finite = np.empty(n, dtype=bool)
     for i in range(1, steps + 1):
         y = step(y, lift[i])

@@ -695,6 +695,24 @@ def test_json_document_inputs_work(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_a_utf8_byte_order_mark_does_not_change_the_document(capsys, tmp_path):
+    # a leading BOM is neither part of the first vertex id nor a reason to read JSON as an edge list
+    from degen_kuramoto import cycle_graph, emit_json
+
+    for name, text in (("c4.edges", C4_EDGES), ("c4.json", emit_json(cycle_graph(4)))):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = run(capsys, "enumerate", "--input", str(plain))
+        assert expected[0] == 0 and '"cde_count":2' in expected[1]
+        assert run(capsys, "enumerate", "--input", str(marked)) == expected, name
+    # invalid UTF-8 is still an error line naming the codec
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n\xff 2\n")
+    assert run(capsys, "enumerate", "--input", str(bad)) == (
+        1, "", "error: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n")
+
+
 # Every subcommand's flags as (default, required, type, choices); shared
 # parent parsers must reproduce this surface exactly.
 CLI_SURFACE = {

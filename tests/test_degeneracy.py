@@ -36,6 +36,7 @@ from degen_kuramoto import (
     rarity_experiment,
 )
 from degen_kuramoto import degeneracy, graphs
+from degen_kuramoto.experiments import _family_graphs
 from helpers import (
     _connected,
     all_connected_graphs,
@@ -43,6 +44,7 @@ from helpers import (
     brute_force_cdes,
     euler_circuits,
     even_degree_edge_sets,
+    frontier_cde_count,
     random_bipartite_graph,
     random_connected_graph,
     random_euler_circuit,
@@ -626,6 +628,52 @@ def test_negative_tolerance_and_budget_are_rejected():
     assert admits_cde(Graph(3), budget=0).edgeless
     with pytest.raises(BudgetExceededError):
         enumerate_cdes(c4, budget=0)
+
+
+def torus_graph(a: int, b: int) -> Graph:
+    """The a x b torus C_a x C_b, vertex i * b + j at row i, column j."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            edges += [(i * b + j, (i + 1) % a * b + j), (i * b + j, i * b + (j + 1) % b)]
+    return Graph(a * b, edges)
+
+
+def test_the_frontier_dp_counts_what_enumerate_cdes_lists():
+    # counts from an independent DP per side, none of them listed
+    k24 = [(u + 5, v + 5) for u, v in complete_bipartite_graph(2, 4).edges]
+    cases = [
+        (cycle_graph(4), 2), (cycle_graph(12), 2), (cycle_graph(4000), 2),
+        (complete_bipartite_graph(4, 4), 18), (complete_bipartite_graph(6, 8), 700),
+        (hypercube_graph(4), 18), (hypercube_graph(6), 9_800),
+        (torus_graph(4, 4), 18), (torus_graph(4, 8), 18), (torus_graph(8, 8), 450),
+        # one pinned vertex per component: C4, an isolated vertex and K2,4
+        (Graph(11, list(cycle_graph(4).edges) + k24), 12),
+        (Graph(3), 1), (cycle_graph(6), 0), (cycle_graph(5), 0), (complete_graph(4), 0),
+    ]
+    for g, count in cases:
+        assert frontier_cde_count(g) == len(enumerate_cdes(g)) == count, (g.vertex_count, count)
+
+
+def test_the_frontier_dp_counts_each_glue_chain_row():
+    for seed, first in (("c4", 2), ("c8", 2), ("k24", 6)):
+        rows = family_sweep("glue-chain", range(13), glue_seed=seed)
+        chain = _family_graphs("glue-chain", seed)
+        assert [frontier_cde_count(chain(p)) for p in range(13)] == [r.cde_count for r in rows]
+        assert [r.cde_count for r in rows] == [first * 2**p for p in range(13)]
+        # beyond the search's reach: it spends a node on each of a side's 2^p solutions
+        assert [frontier_cde_count(chain(p)) for p in (40, 100)] == [first * 2**40, first * 2**100]
+
+
+def test_the_frontier_dp_counts_random_even_bipartite_graphs():
+    rng = np.random.default_rng(38)
+    counted = 0
+    for _ in range(60):
+        g = random_even_bipartite_graph(int(rng.integers(20, 41)), int(rng.integers(3, 13)), rng)
+        count = len(enumerate_cdes(g))
+        assert frontier_cde_count(g) == count, g.edges
+        counted += count > 0
+    assert counted >= 15
 
 
 def test_circuit_to_phases_examples():

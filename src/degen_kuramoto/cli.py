@@ -309,8 +309,9 @@ def cli_dispatch(argv=None) -> int:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
-    # BudgetExceededError is a RuntimeError; numpy raises MemoryError for an array it cannot have
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    # BudgetExceededError is a RuntimeError; numpy raises MemoryError for an array it cannot
+    # have, and Python OverflowError for a --params range longer than a list can hold
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -119,15 +119,11 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     """Fixed-step RK4 trace of the flow from theta0.
 
     Snapshots are reduced to [0, 2pi); energies are evaluated on the
-    continuous lift accumulated by the integrator. One field of sys drives
-    the kernel (`_rk4`), whose steps go straight into the (steps + 1, n)
-    lift, _BLOCK_STEPS rows at a time (`_step_rows`). The steps of a block
-    from its first held event through its first non-finite row are
-    replayed, which raises that event's FloatingPointError or reports its
-    warnings; a non-finite row then raises NonFiniteStateError. The lift is
-    then wrapped in place into `states`; beyond it, memory is temporaries
-    of a fixed size: the energies are summed in row blocks, bit for bit the
-    one-pass formula.
+    continuous lift accumulated by the integrator. A state that stops being
+    finite raises NonFiniteStateError naming its step. The trace, and the
+    warnings, callbacks, log writes and FloatingPointError of the caller's
+    errstate, are those of a loop that tests every step. Beyond the
+    (steps + 1, n) trace, memory is temporaries of a fixed size.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -141,6 +137,7 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     for done in range(0, steps, _BLOCK_STEPS):
         rows = lift[done + 1:done + 1 + _BLOCK_STEPS]
         good, first = _step_rows(step, lift[done], rows)
+        # a per-step loop stops at the first non-finite row: replay through it
         _replay(step, lift[done], rows, first, min(good + 1, len(rows)))
         if good < len(rows):
             raise NonFiniteStateError(done + 1 + good)
@@ -242,21 +239,18 @@ def instability_probe(
     max_steps >= 1; then the start state theta + x0 * direction must be
     finite (ValueError naming it, before any step). Stops early, as not
     escaped, if the trajectory parks at an equilibrium (max |F| < 1e-13,
-    tested every _BLOCK_STEPS steps): residual drift over the remaining
-    budget is then far below epsilon. Raises NonFiniteStateError if the
-    state stops being finite, and a step's FloatingPointError from the
-    caller's errstate, unless an earlier step escaped. The one field built
-    for the equilibrium test also drives the kernel (`_rk4`) and the
-    convergence test. The steps run _BLOCK_STEPS at a time, and the tests
-    once per block on the good rows (`_escape`, `_step_rows`); the report,
-    and the warnings, callbacks and log writes of the caller's errstate,
-    are those of a loop that tests every step.
+    tested every 256 steps): residual drift over the remaining budget is
+    then far below epsilon. Raises NonFiniteStateError if the state stops
+    being finite, and a step's FloatingPointError from the caller's
+    errstate, unless an earlier step escaped. The report, and the warnings,
+    callbacks and log writes of the caller's errstate, are those of a loop
+    that tests every step.
     """
     if sys.graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
     theta = phase_vector(theta, sys.graph.vertex_count)
     direction = _direction(direction, theta)
-    field = _field_fn(sys)
+    field = _field_fn(sys)  # also the kernel's and the convergence test's
     residual = float(np.max(np.abs(field(theta))))
     if residual >= 1.0e-10:
         raise ValueError(f"theta is not an equilibrium (max |F| = {residual:.3e})")

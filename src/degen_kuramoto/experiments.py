@@ -129,8 +129,8 @@ def rarity_experiment(
     reproducible bit for bit for fixed (n, p, samples, seed). Samples are
     drawn in chunks, and the edgeless, odd-degree and triangle filters run
     once per chunk on its kept pairs. Only the samples that pass them become a
-    Graph, in sample order, for degeneracy._admits on the budget read here (the
-    cascade admits_cde runs), so every tally is admits_cde's on erdos_renyi(n, p, key).
+    Graph, in sample order, for the rest of admits_cde's cascade on the budget read
+    here, so every tally is admits_cde's on erdos_renyi(n, p, key).
     """
     samples = operator.index(samples)
     if samples < 1:

@@ -30,6 +30,9 @@ class Graph:
 
     Ids are read with operator.index (a float raises TypeError). Edges become
     sorted pairs (u, v) with u < v, duplicates collapse, a self-loop is rejected.
+    `_rows` is the one copy of the edges as arrays: a read-only, C-contiguous
+    (2, edge_count) int64 array of the rows u < v in edge order, read by every
+    edge-wise pass.
     """
 
     __slots__ = ("_n", "_edges", "_adj", "_rows")

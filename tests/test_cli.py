@@ -117,6 +117,9 @@ PINNED_OUTPUTS = [
      (23417, "577bf5fd91e8fcf5843c0780527af17dffa385fd9c5f41ae53211e23768137ad"), ""),
     ("sweep --family cycle --params 5:5 --budget -1", 1, "",
      "error: budget must be nonnegative\n"),
+    # a range longer than a list can hold is an error line, not a traceback
+    ("sweep --family cycle --params 0:1000000000000000000000000", 1, "",
+     "error: Python int too large to convert to C ssize_t\n"),
     # C3..C12: decided by the triangle, non-bipartite and enumeration branches
     ("sweep --family cycle --params 3:13", 0,
      (429, "98f645983c5c10588c74258cc1bf9e8394278c78de253cae91edf06792c68282"), ""),

@@ -312,7 +312,8 @@ def cli_dispatch(argv=None) -> int:
     # BudgetExceededError is a RuntimeError; numpy raises MemoryError for an array it cannot
     # have, and Python OverflowError for a --params range longer than a list can hold
     except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own MemoryError has no message: the line names the exception instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -145,9 +145,16 @@ def integrate(sys: OscillatorSystem, theta0, dt: float, steps: int) -> Simulatio
     if not math.isfinite(float(dt) * steps):
         raise ValueError("dt * steps must be finite")
     times = dt * np.arange(steps + 1)
-    energies = _energies(sys, lift)  # on the lift, before the wrap overwrites it
-    for rows in _row_blocks(*lift.shape):
+    # -lift @ omega is one product over the whole lift: BLAS may round a row by where it falls
+    # in a product (tail rows take another kernel), so block products would change last bits
+    linear = lift @ sys.frequencies if sys.frequencies.any() else 0.0
+    coupled = OscillatorSystem(sys.graph, sys.coupling)  # sys without its frequencies
+    energies = np.empty(steps + 1)
+    # the one blocked pass over the finished lift: each block's energies, then its wrap in place
+    for rows in _row_blocks(steps + 1, max(y.shape[0], sys.graph.edge_count)):
+        energies[rows] = _energies(coupled, lift[rows])
         _wrap(lift[rows], out=lift[rows])
+    energies -= linear
     return SimulationTrace(times, lift, energies)
 
 

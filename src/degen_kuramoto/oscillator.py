@@ -199,23 +199,14 @@ def _row_blocks(rows: int, width: int) -> list:
 
 
 def _energies(sys: OscillatorSystem, states: np.ndarray) -> np.ndarray:
-    """The unchecked energy of each state, taken along the last axis.
-
-    The edge terms are summed one block of rows at a time, so the
-    temporaries stay at a fixed size however many states there are; each
-    row's sum is the one a single pass over all rows gives, bit for bit.
-    """
+    """The unchecked energy of each state, taken along the last axis:
+    K * sum_edges (1 - cos(theta_v - theta_u)) - theta . omega."""
     u, v = sys.graph._rows
-    grid = np.atleast_2d(states)
-    e = np.empty(grid.shape[0])
-    for rows in _row_blocks(grid.shape[0], u.shape[0]):
-        d = grid[rows, v]
-        d -= grid[rows, u]
-        np.cos(d, out=d)
-        np.subtract(1.0, d, out=d)
-        np.sum(d, axis=1, out=e[rows])
-    e *= sys.coupling
-    e = e.reshape(states.shape[:-1])
+    d = states[..., v]
+    d -= states[..., u]
+    np.cos(d, out=d)
+    np.subtract(1.0, d, out=d)
+    e = d.sum(axis=-1) * sys.coupling
     if sys.frequencies.any():
         e -= states @ sys.frequencies
     return e

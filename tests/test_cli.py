@@ -911,6 +911,7 @@ SIZE_ERRORS = [
      "error: budget must be nonnegative\n"),
     (("rarity", "--n", "100000", "--p", "0.5", "--samples", "1"),
      "error: n must be at most 65536, got 100000\n"),
+    (("sweep", "--family", "cycle", "--params", "100000000000"), "error: MemoryError\n"),
 ]
 
 

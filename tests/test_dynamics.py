@@ -542,20 +542,29 @@ def test_integrate_matches_the_reference_loop():
 
 
 def _block_case(name):
-    """Q4, K2,4 with its CDE frequencies, or a cycle so wide that a block is the two-row floor."""
+    """Q4, K2,4 with its CDE frequencies, a cycle so wide that a block is the two-row floor,
+    Q4's edges on 4,096 vertices (the vertices set the block), or Q6 with random frequencies."""
     rng = np.random.default_rng(1804)
     if name == "k24":
         g = complete_bipartite_graph(2, 4)
         built = construct_nonidentical_cde(g, 2.0)
         return OscillatorSystem(g, 2.0, built.frequencies), built.phases + 0.3 * rng.normal(size=6)
-    g = hypercube_graph(4) if name == "q4" else cycle_graph(2 * oscillator._BLOCK_ITEMS)
+    if name == "q6-frequencies":
+        # BLAS rounds a row of lift @ omega by its place in the product, unlike the edge sums
+        g = hypercube_graph(6)
+        return OscillatorSystem(g, 1.7, rng.normal(size=64)), rng.uniform(0, 2 * np.pi, 64)
+    if name == "sparse":
+        g = Graph(4096, hypercube_graph(4).edges)
+    else:
+        g = hypercube_graph(4) if name == "q4" else cycle_graph(2 * oscillator._BLOCK_ITEMS)
     return OscillatorSystem.identical(g), rng.uniform(0, 2 * np.pi, g.vertex_count)
 
 
-@pytest.mark.parametrize("name", ["q4", "k24", "wide"])
+@pytest.mark.parametrize("name", ["q4", "k24", "wide", "sparse", "q6-frequencies"])
 def test_integrate_matches_the_reference_across_block_boundaries(name):
     sys_, theta0 = _block_case(name)
-    block = max(2, oscillator._BLOCK_ITEMS // sys_.graph.edge_count)
+    width = max(sys_.graph.vertex_count, sys_.graph.edge_count)
+    block = max(2, oscillator._BLOCK_ITEMS // width)
     for steps in sorted({1, block - 1, block, block + 1, 3 * block + 7} - {0}):
         got = integrate(sys_, theta0, 1e-3, steps)
         want = reference_integrate(sys_, theta0, 1e-3, steps)

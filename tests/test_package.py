@@ -34,7 +34,8 @@ def test_the_package_api_is_the_union_of_the_module_all_lists():
 
 
 def test_every_python_file_parses_under_the_python_3_10_grammar():
-    paths = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
+    tops = ("src", "tests", "perfbench", "tools")
+    paths = sorted(p for top in tops for p in (ROOT / top).rglob("*.py"))
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
